@@ -20,9 +20,8 @@ import warnings
 
 import numpy as np
 
-from .conv import FeatureMap
 from .errors import ShapeError, UsageError
-from .net import ContextVector, forward_core
+from .net import ContextVector, forward_core, masked_batch
 
 
 @dataclass
@@ -84,48 +83,20 @@ def roi_residual_scores(residual, roi_vertices):
     return np.abs(residual[:, roi_vertices]).mean(axis=1)
 
 
-def detect_roi(model, subject, atlas, roi_id, normalized=True):
-    """Channel-summed anomaly score of one ROI.
+def _detect(model, subject, atlas, roi_ids, normalized):
+    """Report for the given ROIs: one masked forward pass per ROI, batched.
 
-    Masks exactly the ROI's vertices with the learned token, runs one
-    forward pass with the subject's context, and averages the
-    channel-summed l1 residual over the ROI.  ``normalized=False``
-    reports the residual in raw feature units instead of z-scores.
+    Row r of the batch is the normalized subject with exactly ROI r's
+    vertices replaced by the mask token.
     """
     _check_subject(model, subject, atlas)
-    verts = atlas.roi_vertices(roi_id)
-    if len(verts) == 0:
-        raise UsageError(f"ROI {roi_id} has no vertices in this atlas")
+    verts_per_roi = [atlas.roi_vertices(rid) for rid in roi_ids]
+    for rid, verts in zip(roi_ids, verts_per_roi):
+        if len(verts) == 0:
+            raise UsageError(f"ROI {rid} has no vertices in this atlas")
     xn = model.normalize(subject.features)
-    xb = xn.copy()
-    xb[:, verts] = model.params["mask_token"][:, None]
-    ctxn = model.normalize_context(subject.context)
-    xhat, _ = forward_core(model, xb[None], ctxn[None], record=False)
-    resid = xhat[0] - xn
-    if not normalized:
-        resid = resid * model.norm_std[:, None]
-    return float(roi_residual_scores(resid, verts).sum())
-
-
-def detect_all(model, subject, atlas, normalized=True):
-    """Anomaly scores for every labeled ROI (label 0 excluded).
-
-    One forward pass is evaluated per ROI; the passes are batched
-    internally for speed, which leaves each ROI's reconstruction
-    identical to a standalone masked forward with the same batch.
-    """
-    _check_subject(model, subject, atlas)
-    roi_ids = atlas.roi_ids()
-    if not roi_ids:
-        raise UsageError("atlas has no labeled ROIs")
-    xn = model.normalize(subject.features)
-    token = model.params["mask_token"]
-    xb = np.repeat(xn[None], len(roi_ids), axis=0)
-    verts_per_roi = []
-    for row, rid in enumerate(roi_ids):
-        verts = atlas.roi_vertices(rid)
-        verts_per_roi.append(verts)
-        xb[row][:, verts] = token[:, None]
+    batch = np.broadcast_to(xn, (len(roi_ids),) + xn.shape)
+    xb, _ = masked_batch(model, batch, verts_per_roi)
     ctxn = np.repeat(model.normalize_context(subject.context)[None], len(roi_ids), 0)
     xhat, _ = forward_core(model, xb, ctxn, record=False)
     scores = np.empty((model.config.in_channels, len(roi_ids)))
@@ -143,6 +114,30 @@ def detect_all(model, subject, atlas, normalized=True):
         scores=scores,
         roi_sizes=np.array([len(v) for v in verts_per_roi]),
     )
+
+
+def detect_roi(model, subject, atlas, roi_id, normalized=True):
+    """Channel-summed anomaly score of one ROI.
+
+    Masks exactly the ROI's vertices with the learned token, runs one
+    forward pass with the subject's context, and averages the
+    channel-summed l1 residual over the ROI.  ``normalized=False``
+    reports the residual in raw feature units instead of z-scores.
+    """
+    return _detect(model, subject, atlas, [roi_id], normalized).score(roi_id)
+
+
+def detect_all(model, subject, atlas, normalized=True):
+    """Anomaly scores for every labeled ROI (label 0 excluded).
+
+    One forward pass is evaluated per ROI; the passes are batched
+    internally for speed, which leaves each ROI's reconstruction
+    identical to a standalone masked forward with the same batch.
+    """
+    roi_ids = atlas.roi_ids()
+    if not roi_ids:
+        raise UsageError("atlas has no labeled ROIs")
+    return _detect(model, subject, atlas, roi_ids, normalized)
 
 
 @dataclass

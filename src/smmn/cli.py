@@ -321,10 +321,15 @@ def _cmd_detect(args):
     return 0
 
 
+def _group_report(args):
+    """Effect report of the --group-a / --group-b score tables."""
+    return stats.effect_report(anomaly.read_scores_csv(args.group_a),
+                               anomaly.read_scores_csv(args.group_b),
+                               alpha=args.alpha)
+
+
 def _cmd_stats(args):
-    mat_a = anomaly.read_scores_csv(args.group_a)
-    mat_b = anomaly.read_scores_csv(args.group_b)
-    report = stats.effect_report(mat_a, mat_b, alpha=args.alpha)
+    report = _group_report(args)
     os.makedirs(args.out, exist_ok=True)
     stats.write_stats_csv(report, os.path.join(args.out, "stats.csv"))
     filtered = stats.EffectReport(
@@ -349,11 +354,8 @@ def _cmd_report(args):
     if args.group_a or args.group_b:
         if not (args.group_a and args.group_b):
             raise UsageError("--group-a and --group-b must be given together")
-        mat_a = anomaly.read_scores_csv(args.group_a)
-        mat_b = anomaly.read_scores_csv(args.group_b)
-        report = stats.effect_report(mat_a, mat_b, alpha=args.alpha)
         out = os.path.join(args.out, "eta2.svg")
-        stats.write_eta2_svg(report, out)
+        stats.write_eta2_svg(_group_report(args), out)
         wrote.append(out)
     if not wrote:
         raise UsageError("nothing to emit: pass --scores or --group-a/--group-b")

@@ -12,13 +12,14 @@ Three operators move features around the mesh:
 * ``vertex2vertex`` chains the two, adds a per-output-channel bias and a
   pointwise nonlinearity (leaky rectifier, slope 0.01, by default).
 
+The network runs the batched array cores (``*_core`` and the
+``block_*`` pair); the FeatureMap operators are checked shims over them.
 Everything is linear in both features and filter coefficients (before
 the nonlinearity), so the backward passes are exact.  All reductions run
 in a fixed order; identical inputs give bit-identical outputs.
 
-Internally each mesh caches a :class:`ConvContext` per filter degree
-holding the incidence bookkeeping and a sparse basis-weighted
-aggregation matrix, so repeated applications only pay for GEMMs.
+Each mesh caches a :class:`ConvContext` per filter degree holding the
+incidence order and the filter basis sampled at every incidence.
 """
 
 from dataclasses import dataclass
@@ -212,6 +213,29 @@ def leaky_relu_grad(x, slope=LEAKY_SLOPE):
     return np.where(x > 0.0, 1.0, slope)
 
 
+def block_forward(ctx, h, vf, fv, bias, activate):
+    """vertex2facet -> facet2vertex -> bias -> optional leaky ReLU.
+
+    Returns the output and what :func:`block_backward` needs.
+    """
+    g = v2f_forward_core(ctx, h, vf)
+    z = f2v_forward_core(ctx, g, fv)
+    pre = z + bias[None, :, None]
+    out = leaky_relu(pre) if activate else pre
+    return out, (h, g, pre, activate)
+
+
+def block_backward(ctx, saved, vf, fv, grad_out):
+    """Gradients of :func:`block_forward`: (input, vf, fv, bias)."""
+    h, g, pre, activate = saved
+    if activate:
+        grad_out = grad_out * leaky_relu_grad(pre)
+    grad_bias = grad_out.sum(axis=(0, 2))
+    grad_g, grad_fv = f2v_backward_core(ctx, fv, g, grad_out)
+    grad_h, grad_vf = v2f_backward_core(ctx, vf, h, grad_g)
+    return grad_h, grad_vf, grad_fv, grad_bias
+
+
 def pool_max_core(x, clustering, return_argmax=False):
     ordered = x[..., clustering.member_order]
     cuts = clustering.starts[:-1]
@@ -264,17 +288,6 @@ def vertex2facet(mesh, x, bank):
     return FacetFeatureMap(out, level=x.level)
 
 
-def vertex2facet_backward(mesh, bank, saved_input, grad_output):
-    """Gradients of vertex2facet w.r.t. its input map and coefficients."""
-    if saved_input is None:
-        raise UsageError("vertex2facet_backward needs the forward input as context")
-    ctx = conv_context(mesh, bank.l_max)
-    grad_x, grad_coeffs = v2f_backward_core(
-        ctx, bank.coeffs, saved_input.values[None], grad_output.values[None]
-    )
-    return FeatureMap(grad_x[0], level=saved_input.level), grad_coeffs
-
-
 def facet2vertex(mesh, g, bank):
     """Average filter-weighted incident facet features onto each vertex."""
     if bank.in_channels != g.channels:
@@ -290,77 +303,22 @@ def facet2vertex(mesh, g, bank):
     return FeatureMap(out[0], level=g.level)
 
 
-def facet2vertex_backward(mesh, bank, saved_input, grad_output):
-    """Gradients of facet2vertex w.r.t. its facet input and coefficients."""
-    if saved_input is None:
-        raise UsageError("facet2vertex_backward needs the forward input as context")
-    ctx = conv_context(mesh, bank.l_max)
-    grad_h, grad_coeffs = f2v_backward_core(
-        ctx, bank.coeffs, saved_input.values[None], grad_output.values[None]
-    )
-    return FacetFeatureMap(grad_h[0], level=saved_input.level), grad_coeffs
-
-
 def vertex2vertex(mesh, x, bank_vf, bank_fv, bias=None, activation="leaky_relu"):
-    """vertex2facet followed by facet2vertex, plus bias and nonlinearity."""
-    if bank_vf.out_channels != bank_fv.in_channels:
+    """vertex2facet followed by facet2vertex, plus bias and nonlinearity.
+
+    One :func:`block_forward`; both banks must share one filter degree.
+    """
+    if (bank_vf.out_channels, bank_vf.l_max) != (bank_fv.in_channels, bank_fv.l_max):
         raise ShapeError(
             f"bank chain mismatch: vertex2facet emits {bank_vf.out_channels} "
-            f"channels, facet2vertex expects {bank_fv.in_channels}"
+            f"channels of degree {bank_vf.l_max}, facet2vertex expects "
+            f"{bank_fv.in_channels} of degree {bank_fv.l_max}"
         )
-    g = vertex2facet(mesh, x, bank_vf)
-    out = facet2vertex(mesh, g, bank_fv)
-    values = out.values
-    if bias is not None:
-        values = values + np.asarray(bias, dtype=np.float64)[:, None]
-    if activation == "leaky_relu":
-        values = leaky_relu(values)
-    elif activation != "linear":
+    if activation not in ("leaky_relu", "linear"):
         raise UsageError(f"unknown activation {activation!r}")
-    return FeatureMap(values, level=x.level)
-
-
-def pool_max(x, clustering, return_argmax=False):
-    """Max-reduce vertex features over clusters; ties keep the lowest vertex.
-
-    With ``return_argmax`` the winning fine-vertex index per cluster and
-    channel comes back too (the backward pass routes gradient there).
-    """
-    if x.level is not None and x.level != clustering.fine_order:
-        raise ShapeError(
-            f"pooling level mismatch: features at {x.level}, "
-            f"clustering from {clustering.fine_order}"
-        )
-    if x.num_vertices != clustering.num_fine:
-        raise ShapeError("feature map does not match the clustering's fine level")
-    out, argmax = pool_max_core(x.values, clustering, return_argmax=return_argmax)
-    pooled = FeatureMap(out, level=clustering.coarse_order)
-    if return_argmax:
-        return pooled, argmax
-    return pooled
-
-
-def pool_max_backward(grad_output, argmax, clustering):
-    """Route cluster gradients back to the recorded argmax vertices."""
-    if argmax is None:
-        raise UsageError("pool_max_backward needs argmax indices as context")
-    grad = pool_max_backward_core(grad_output.values, argmax, clustering.num_fine)
-    return FeatureMap(grad, level=clustering.fine_order)
-
-
-def unpool(x, clustering):
-    """Broadcast each cluster's feature to all of its member vertices."""
-    if x.level is not None and x.level != clustering.coarse_order:
-        raise ShapeError(
-            f"unpooling level mismatch: features at {x.level}, "
-            f"clustering onto {clustering.coarse_order}"
-        )
-    if x.num_vertices != clustering.num_coarse:
-        raise ShapeError("feature map does not match the clustering's coarse level")
-    return FeatureMap(unpool_core(x.values, clustering), level=clustering.fine_order)
-
-
-def unpool_backward(grad_output, clustering):
-    """Sum member-vertex gradients back onto their cluster."""
-    grad = unpool_backward_core(grad_output.values, clustering)
-    return FeatureMap(grad, level=clustering.coarse_order)
+    _check_vertex_input(mesh, x, bank_vf)
+    bias = np.zeros(bank_fv.out_channels) if bias is None else np.asarray(bias, float)
+    out, _ = block_forward(conv_context(mesh, bank_vf.l_max), x.values[None],
+                           bank_vf.coeffs, bank_fv.coeffs, bias,
+                           activation == "leaky_relu")
+    return FeatureMap(out[0], level=x.level)

@@ -365,30 +365,47 @@ def load_manifest(path, check_files=True):
                 f"manifest is not valid JSON: {exc.msg}", offset=exc.pos,
                 path=str(path),
             ) from None
-    if doc.get("format") != "smmn-manifest":
+    if not isinstance(doc, dict) or doc.get("format") != "smmn-manifest":
         raise ParseError("not a dataset manifest", offset=0, path=str(path))
+
+    def field(obj, key, kinds, where):
+        value = obj.get(key) if isinstance(obj, dict) else None
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ParseError(f"{where}: {key!r} is missing or of the wrong type",
+                             path=str(path))
+        return value
+
     root = os.path.dirname(os.path.abspath(path))
     subjects = []
     seen = set()
-    for entry in doc["subjects"]:
-        sid = entry["id"]
+    for i, entry in enumerate(field(doc, "subjects", list, "manifest")):
+        where = f"subject {i}"
+        sid = field(entry, "id", str, where)
         if sid in seen:
             raise ParseError(f"duplicate subject id {sid!r}", offset=0, path=str(path))
         seen.add(sid)
+        files = field(entry, "files", dict, where)
+        if not all(isinstance(v, str) for v in files.values()):
+            raise ParseError(f"{where}: 'files' must map channels to paths",
+                             path=str(path))
+        age, sex = (float(field(entry, k, (int, float), where)) for k in ("age", "sex"))
         subjects.append(
             SubjectEntry(
                 subject_id=sid,
-                files=dict(entry["files"]),
-                age=float(entry["age"]),
-                sex=float(entry["sex"]),
+                files=dict(files),
+                age=age,
+                sex=sex,
                 group=entry.get("group") or "control",
                 euler=entry.get("euler"),
                 split=entry.get("split") or "test",
             )
         )
+    channel_names = field(doc, "channel_names", list, "manifest")
+    if not all(isinstance(c, str) for c in channel_names):
+        raise ParseError("manifest: 'channel_names' must be strings", path=str(path))
     manifest = DatasetManifest(
         subjects=subjects,
-        channel_names=tuple(doc["channel_names"]),
+        channel_names=tuple(channel_names),
         seed=int(doc.get("seed", 0)),
         atlas=doc.get("atlas"),
         label_table=doc.get("label_table"),

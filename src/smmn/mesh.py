@@ -327,17 +327,15 @@ def _nearest_with_ties(points, targets):
     return best
 
 
-def cluster_to_coarse(fine, coarse):
-    """Cluster each fine vertex onto its nearest coarse vertex.
+def cluster_to_coarse(coarse):
+    """Cluster each vertex of ``subdivide(coarse)`` onto its nearest coarse vertex.
 
-    Coarse-identical vertices (the shared prefix of an icosphere
-    refinement) map to themselves; distance ties break to the lowest
-    coarse index.
+    Coarse vertices map to themselves.  The midpoint of edge (a, b), a < b,
+    appended in ``coarse.edges`` order, is equidistant from a and b and
+    nearer to them than to any other coarse vertex; the tie breaks to a.
     """
-    parent = _nearest_with_ties(fine.vertices, coarse.vertices)
-    shared = min(fine.num_vertices, coarse.num_vertices)
-    parent[:shared] = np.arange(shared)
-    member_order = np.lexsort((np.arange(fine.num_vertices), parent))
+    parent = np.concatenate([np.arange(coarse.num_vertices), coarse.edges[:, 0]])
+    member_order = np.lexsort((np.arange(len(parent)), parent))
     starts = np.zeros(coarse.num_vertices + 1, dtype=np.int64)
     np.cumsum(np.bincount(parent, minlength=coarse.num_vertices), out=starts[1:])
     for arr in (parent, member_order, starts):
@@ -349,7 +347,8 @@ def cluster_to_coarse(fine, coarse):
 class IcosphereHierarchy:
     """Icosphere meshes of orders 0..max_order plus their clusterings.
 
-    ``clusterings[k]`` maps order k+1 vertices onto order k clusters.
+    ``clusterings[k]`` maps each order k+1 vertex onto its subdivision
+    parent at order k (see :func:`cluster_to_coarse`).
     """
 
     levels: tuple
@@ -370,13 +369,17 @@ class IcosphereHierarchy:
 
 
 def build_hierarchy(max_order):
-    """Build icosphere levels 0..max_order with nearest-vertex clusterings."""
+    """Build icosphere levels 0..max_order with subdivision-parent clusterings.
+
+    Each order k+1 vertex clusters onto the order k vertex it came from;
+    an edge midpoint onto the edge's lower endpoint (its nearest one).
+    """
     if max_order < 1:
         raise ConfigurationError("hierarchy needs max_order >= 1")
     levels = tuple(icosphere(k) for k in range(max_order + 1))
     clusterings = []
     for k in range(max_order):
-        parent, member_order, starts = cluster_to_coarse(levels[k + 1], levels[k])
+        parent, member_order, starts = cluster_to_coarse(levels[k])
         clusterings.append(
             VertexClustering(
                 fine_order=k + 1,

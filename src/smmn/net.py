@@ -33,6 +33,7 @@ import numpy as np
 from . import conv
 from .conv import FeatureMap
 from .errors import ConfigurationError, ParseError, ShapeError, UsageError
+from .io import _Cursor
 from .mesh import build_hierarchy
 from .spharm import num_coefficients
 
@@ -130,32 +131,6 @@ def sample_mask(num_vertices, fraction, rng):
     count = max(1, int(round(fraction * num_vertices)))
     picked = rng.choice(num_vertices, size=count, replace=False)
     return np.sort(picked).astype(np.int64)
-
-
-def apply_mask(x, mask, token):
-    """Replace masked columns of a feature map with the mask token."""
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.size and (mask.min() < 0 or mask.max() >= x.num_vertices):
-        raise UsageError("mask index out of range")
-    token = np.asarray(token, dtype=np.float64)
-    if token.shape != (x.channels,):
-        raise ShapeError(
-            f"mask token has shape {token.shape}, expected ({x.channels},)"
-        )
-    values = x.values.copy()
-    values[:, mask] = token[:, None]
-    return FeatureMap(values, level=x.level)
-
-
-def loss_l1(xhat, x, mask):
-    """Channel-summed l1 over masked vertices, averaged over the mask."""
-    if xhat.values.shape != x.values.shape:
-        raise ShapeError("prediction and target shapes differ")
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.size == 0:
-        raise UsageError("loss over an empty mask is undefined")
-    resid = xhat.values[:, mask] - x.values[:, mask]
-    return float(np.abs(resid).sum() / mask.size)
 
 
 def normalize_features(features):
@@ -294,24 +269,6 @@ class MMNModel:
 # Forward / backward cores (batched arrays).
 
 
-def _block_forward(cctx, h, vf, fv, bias, activate):
-    g = conv.v2f_forward_core(cctx, h, vf)
-    z = conv.f2v_forward_core(cctx, g, fv)
-    pre = z + bias[None, :, None]
-    out = conv.leaky_relu(pre) if activate else pre
-    return out, (h, g, pre, activate)
-
-
-def _block_backward(cctx, saved, vf, fv, grad_out):
-    h, g, pre, activate = saved
-    if activate:
-        grad_out = grad_out * conv.leaky_relu_grad(pre)
-    grad_bias = grad_out.sum(axis=(0, 2))
-    grad_g, grad_fv = conv.f2v_backward_core(cctx, fv, g, grad_out)
-    grad_h, grad_vf = conv.v2f_backward_core(cctx, vf, h, grad_g)
-    return grad_h, grad_vf, grad_fv, grad_bias
-
-
 def forward_core(model, xb, ctxn, record=False):
     """Batched network forward pass.
 
@@ -339,7 +296,7 @@ def forward_core(model, xb, ctxn, record=False):
         cctx = model.context_of(order)
         for blk in (1, 2):
             pre = f"enc{lvl}_c{blk}"
-            h, saved = _block_forward(
+            h, saved = conv.block_forward(
                 cctx, h, p[f"{pre}_vf"], p[f"{pre}_fv"], p[f"{pre}_b"], True
             )
             if record:
@@ -368,7 +325,7 @@ def forward_core(model, xb, ctxn, record=False):
         for blk in (1, 2):
             pre = f"dec{lvl}_c{blk}"
             activate = not (last_level and blk == 2)
-            h, saved = _block_forward(
+            h, saved = conv.block_forward(
                 cctx, h, p[f"{pre}_vf"], p[f"{pre}_fv"], p[f"{pre}_b"], activate
             )
             if record:
@@ -392,7 +349,7 @@ def backward_core(model, tape, grad_out, mask_matrix):
         if kind == "block":
             _, pre, order, saved = entry
             cctx = model.context_of(order)
-            g, gvf, gfv, gb = _block_backward(
+            g, gvf, gfv, gb = conv.block_backward(
                 cctx, saved, p[f"{pre}_vf"], p[f"{pre}_fv"], g
             )
             grads[f"{pre}_vf"] += gvf
@@ -672,52 +629,47 @@ def save_model(model, path):
 def load_model(path):
     """Read a checkpoint written by :func:`save_model`."""
     with open(path, "rb") as fp:
-        data = fp.read()
-    off = 0
-
-    def take(n, what):
-        nonlocal off
-        if off + n > len(data):
-            raise ParseError(f"truncated checkpoint while reading {what}",
-                             offset=off, path=str(path))
-        out = data[off : off + n]
-        off += n
-        return out
-
-    if take(4, "magic") != CHECKPOINT_MAGIC:
+        cur = _Cursor(fp.read(), str(path))
+    if cur.take(4, "magic") != CHECKPOINT_MAGIC:
         raise ParseError("bad checkpoint magic", offset=0, path=str(path))
-    kind, version = struct.unpack("<BB", take(2, "kind/version"))
+    kind, version = cur.unpack("<BB", "kind/version")
     if kind != CHECKPOINT_KIND:
         raise ParseError(f"not a model checkpoint (kind {kind})", offset=4,
                          path=str(path))
     if version != CHECKPOINT_VERSION:
         raise ParseError(f"unsupported checkpoint version {version}", offset=5,
                          path=str(path))
-    (blob_len,) = struct.unpack("<I", take(4, "config length"))
-    config_doc = json.loads(take(blob_len, "config block").decode("utf-8"))
-    cfg = ModelConfig(
-        input_order=config_doc["input_order"],
-        channels=tuple(config_doc["channels"]),
-        in_channels=config_doc["in_channels"],
-        l_max=config_doc["l_max"],
-        ctx_dim=config_doc["ctx_dim"],
-        channel_names=tuple(config_doc["channel_names"]),
-        seed=config_doc["seed"],
-    )
+    (blob_len,) = cur.unpack("<I", "config length")
+    blob = cur.take(blob_len, "config block")
+    try:
+        doc = json.loads(blob.decode("utf-8"))
+        cfg = ModelConfig(
+            input_order=doc["input_order"],
+            channels=tuple(doc["channels"]),
+            in_channels=doc["in_channels"],
+            l_max=doc["l_max"],
+            ctx_dim=doc["ctx_dim"],
+            channel_names=tuple(doc["channel_names"]),
+            seed=doc["seed"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and ConfigurationError.
+        raise ParseError(f"bad config block: {exc!r}", offset=10,
+                         path=str(path)) from None
     model = MMNModel(cfg)
-    (n_arrays,) = struct.unpack("<I", take(4, "array count"))
+    (n_arrays,) = cur.unpack("<I", "array count")
     names = model.param_names() + ["norm_mean", "norm_std", "ctx_stats"]
     if n_arrays != len(names):
         raise ParseError(
             f"checkpoint stores {n_arrays} arrays, model declares {len(names)}",
-            offset=off - 4, path=str(path),
+            offset=cur.offset - 4, path=str(path),
         )
     for name in names:
-        (ndim,) = struct.unpack("<B", take(1, f"{name} ndim"))
-        shape = struct.unpack(f"<{ndim}q", take(8 * ndim, f"{name} shape"))
+        (ndim,) = cur.unpack("<B", f"{name} ndim")
+        shape = cur.unpack(f"<{ndim}q", f"{name} shape")
         count = int(np.prod(shape)) if ndim else 1
         arr = np.frombuffer(
-            take(8 * count, f"{name} data"), dtype="<f8"
+            cur.take(8 * count, f"{name} data"), dtype="<f8"
         ).reshape(shape).astype(np.float64)
         if name == "norm_mean":
             model.norm_mean = arr
@@ -730,10 +682,8 @@ def load_model(path):
                 raise ParseError(
                     f"array {name} has shape {arr.shape}, expected "
                     f"{model.params[name].shape}",
-                    offset=off, path=str(path),
+                    offset=cur.offset, path=str(path),
                 )
             model.params[name] = arr
-    if off != len(data):
-        raise ParseError("trailing bytes after checkpoint payload", offset=off,
-                         path=str(path))
+    cur.done()
     return model

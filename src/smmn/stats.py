@@ -1,11 +1,11 @@
 """Two-group ANOVA, eta-squared effect sizes, and BH multiple testing.
 
 Anomaly scores of patients and controls are compared per (ROI, channel,
-hemisphere) with a one-way ANOVA (k = 2 groups).  P-values come from the
-F distribution via a continued-fraction regularized incomplete beta;
-the Benjamini-Hochberg step-up procedure corrects each feature
-channel's family of tests, and the final report keeps rows with
-corrected q below the significance level, sorted by eta squared.
+hemisphere) with a one-way ANOVA (k = 2 groups).  P-values are the
+F distribution's upper tail from ``scipy.special.fdtrc``; the
+Benjamini-Hochberg step-up procedure corrects each feature channel's
+family of tests, and the final report keeps the rejected rows
+(corrected q below the significance level), sorted by eta squared.
 """
 
 from dataclasses import dataclass
@@ -13,81 +13,18 @@ import csv
 import math
 
 import numpy as np
+import scipy.special
 
 from .errors import DomainError, UsageError
 
-_BETA_EPS = 1e-15
-_BETA_TINY = 1e-300
-_BETA_MAX_ITER = 500
-
-
-def _beta_cont_fraction(a, b, x):
-    """Modified Lentz evaluation of the incomplete-beta continued fraction."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _BETA_TINY:
-        d = _BETA_TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _BETA_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_TINY:
-            d = _BETA_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_TINY:
-            c = _BETA_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_TINY:
-            d = _BETA_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_TINY:
-            c = _BETA_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETA_EPS:
-            return h
-    raise DomainError(f"incomplete beta failed to converge for a={a}, b={b}, x={x}")
-
-
-def betainc_reg(a, b, x):
-    """Regularized incomplete beta I_x(a, b), absolute error < 1e-10."""
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError("beta parameters must be positive")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    front = math.exp(
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cont_fraction(a, b, x) / a
-    return 1.0 - front * _beta_cont_fraction(b, a, 1.0 - x) / b
-
 
 def f_cdf(x, d1, d2):
-    """CDF of the F distribution with (d1, d2) degrees of freedom."""
+    """CDF of the F distribution with (d1, d2) degrees of freedom (scipy)."""
     if d1 < 1 or d2 < 1:
         raise DomainError(f"degrees of freedom must be >= 1, got ({d1}, {d2})")
     if not x >= 0.0:
         raise DomainError(f"F statistic must be non-negative, got {x}")
-    if math.isinf(x):
-        return 1.0
-    t = d1 * x / (d1 * x + d2)
-    return betainc_reg(d1 / 2.0, d2 / 2.0, t)
+    return float(scipy.special.fdtr(d1, d2, x))
 
 
 def anova_oneway(group_a, group_b):
@@ -114,7 +51,7 @@ def anova_oneway(group_a, group_b):
     if ss_within <= 0.0:
         return math.inf, 0.0, 1.0
     f_stat = (ss_between / df_between) / (ss_within / df_within)
-    p = 1.0 - f_cdf(f_stat, df_between, df_within)
+    p = scipy.special.fdtrc(df_between, df_within, f_stat)
     eta2 = ss_between / ss_total
     return float(f_stat), float(p), float(eta2)
 
@@ -123,7 +60,7 @@ def bh_correct(pvalues, alpha=0.05):
     """Benjamini-Hochberg step-up q-values and rejection flags.
 
     q_(i) = min over j >= i of m p_(j) / j, clamped to 1, returned in the
-    original order; rejects where q <= alpha.
+    original order; rejects where q < alpha.
     """
     p = np.asarray(pvalues, dtype=np.float64)
     if p.size == 0:
@@ -137,7 +74,7 @@ def bh_correct(pvalues, alpha=0.05):
     q_sorted = np.minimum(q_sorted, 1.0)
     q = np.empty_like(q_sorted)
     q[order] = q_sorted
-    return q, q <= alpha
+    return q, q < alpha
 
 
 @dataclass
@@ -222,7 +159,7 @@ def effect_report(scores_a, scores_b, alpha=0.05):
             row.q = float(qv)
             row.rejected = bool(rej)
     significant = sorted(
-        (row for row in rows if row.tested and row.q < alpha),
+        (row for row in rows if row.rejected),
         key=lambda row: -row.eta2,
     )
     return EffectReport(rows=rows, significant=significant, alpha=alpha)

@@ -48,6 +48,36 @@ def test_malformed_config_exits_2(tmp_path):
     assert run("synth", "--config", str(cfg), "--out", str(tmp_path / "ds")) == 2
 
 
+def test_train_manifest_subject_without_age_exits_2(tmp_path, capsys):
+    (tmp_path / "synth.cfg").write_text(
+        "order = 1\nn_subjects = 4\nn_train = 2\nn_val = 2\nn_rois = 3\nseed = 1\n"
+    )
+    assert run("synth", "--config", str(tmp_path / "synth.cfg"),
+               "--out", str(tmp_path / "ds")) == 0
+    manifest = tmp_path / "ds" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    del doc["subjects"][0]["age"]
+    manifest.write_text(json.dumps(doc))
+    (tmp_path / "train.cfg").write_text("order = 1\nchannels = 2\nepochs = 1\n")
+    capsys.readouterr()
+    assert run("train", "--manifest", str(manifest), "--config",
+               str(tmp_path / "train.cfg"), "--out", str(tmp_path / "run")) == 2
+    err = capsys.readouterr().err
+    assert "'age'" in err and str(manifest) in err
+    assert "Traceback" not in err
+
+
+def test_detect_checkpoint_with_broken_config_exits_2(tmp_path, capsys):
+    ckpt = tmp_path / "model.smmn"
+    ckpt.write_bytes(b"SMMN\x01\x01\x07\x00\x00\x00{broken")
+    assert run("detect", "--model", str(ckpt),
+               "--manifest", str(tmp_path / "missing.json"),
+               "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "byte offset 10" in err
+    assert "Traceback" not in err
+
+
 def test_config_parsing(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from smmn import conv, mesh, spharm
-from smmn.errors import ShapeError, UsageError
+from smmn.errors import ShapeError
 
 
 # -- brute-force oracles, straight from the aggregation definitions ----------
@@ -161,6 +161,9 @@ def test_channel_mismatch_raises(rng):
     bank_fv = spharm.FilterBank.random(3, 4, 2, rng)
     with pytest.raises(ShapeError):
         conv.vertex2vertex(m, x, spharm.FilterBank.random(3, 3, 3, rng), bank_fv)
+    x2 = conv.FeatureMap(np.zeros((2, m.num_vertices)), level=0)
+    with pytest.raises(ShapeError):  # one block runs at one filter degree
+        conv.vertex2vertex(m, x2, spharm.FilterBank.random(1, 2, 4, rng), bank_fv)
 
 
 def test_determinism(rng):
@@ -252,17 +255,6 @@ def test_conv_gradients_match_finite_differences(rng):
     assert rel.max() < 1e-4
 
 
-def test_backward_requires_context():
-    m = mesh.icosphere(0)
-    bank = spharm.FilterBank.constant(1.0)
-    grad = conv.FacetFeatureMap(np.ones((1, m.num_facets)), level=0)
-    with pytest.raises(UsageError):
-        conv.vertex2facet_backward(m, bank, None, grad)
-    grad_v = conv.FeatureMap(np.ones((1, m.num_vertices)), level=0)
-    with pytest.raises(UsageError):
-        conv.facet2vertex_backward(m, bank, None, grad_v)
-
-
 # -- pooling / unpooling -------------------------------------------------------
 
 
@@ -275,9 +267,10 @@ def test_pool_max_takes_maximum(clustering):
     x = np.zeros((1, 42))
     members = clustering.members(3)
     x[0, members[:3]] = [1.0, -2.0, 3.0]
-    out = conv.pool_max(conv.FeatureMap(x, level=1), clustering)
-    assert out.values[0, 3] == 3.0
-    assert out.level == 0
+    out, argmax = conv.pool_max_core(x, clustering)
+    assert out[0, 3] == 3.0
+    assert out.shape == (1, 12)
+    assert argmax is None
 
 
 def test_pool_singleton_cluster_identity():
@@ -289,16 +282,16 @@ def test_pool_singleton_cluster_identity():
         member_order=np.array([0, 1, 2]),
         starts=np.array([0, 2, 3]),
     )
-    x = conv.FeatureMap(np.array([[5.0, -1.0, 9.5]]))
-    out, argmax = conv.pool_max(x, cl, return_argmax=True)
-    np.testing.assert_array_equal(out.values, [[5.0, 9.5]])
+    x = np.array([[5.0, -1.0, 9.5]])
+    out, argmax = conv.pool_max_core(x, cl, return_argmax=True)
+    np.testing.assert_array_equal(out, [[5.0, 9.5]])
     np.testing.assert_array_equal(argmax, [[0, 2]])
 
 
 def test_pool_constant_field_argmax_tie_break(clustering):
-    x = conv.FeatureMap(np.full((2, 42), 1.25), level=1)
-    out, argmax = conv.pool_max(x, clustering, return_argmax=True)
-    np.testing.assert_allclose(out.values, 1.25)
+    x = np.full((2, 42), 1.25)
+    out, argmax = conv.pool_max_core(x, clustering, return_argmax=True)
+    np.testing.assert_allclose(out, 1.25)
     for c in range(clustering.num_coarse):
         np.testing.assert_array_equal(argmax[:, c], clustering.members(c).min())
 
@@ -311,64 +304,50 @@ def test_unpool_broadcast():
         member_order=np.array([0, 1, 2]),
         starts=np.array([0, 2, 3]),
     )
-    x = conv.FeatureMap(np.array([[4.0, 7.0]]))
-    np.testing.assert_array_equal(conv.unpool(x, cl).values, [[4.0, 4.0, 7.0]])
+    x = np.array([[4.0, 7.0]])
+    np.testing.assert_array_equal(conv.unpool_core(x, cl), [[4.0, 4.0, 7.0]])
 
 
 def test_unpool_pool_of_cluster_constant_is_identity(clustering):
     rng = np.random.default_rng(5)
     coarse = rng.standard_normal((2, clustering.num_coarse))
-    fine = conv.unpool(conv.FeatureMap(coarse, level=0), clustering)
-    back = conv.pool_max(fine, clustering)
-    np.testing.assert_array_equal(back.values, coarse)
-    again = conv.unpool(back, clustering)
-    np.testing.assert_array_equal(again.values, fine.values)
+    fine = conv.unpool_core(coarse, clustering)
+    back, _ = conv.pool_max_core(fine, clustering)
+    np.testing.assert_array_equal(back, coarse)
+    again = conv.unpool_core(back, clustering)
+    np.testing.assert_array_equal(again, fine)
 
 
 def test_pool_unpool_roundtrip_any_field(clustering):
     rng = np.random.default_rng(6)
-    x = conv.FeatureMap(rng.standard_normal((3, 42)), level=1)
-    pooled = conv.pool_max(x, clustering)
-    recovered = conv.pool_max(conv.unpool(pooled, clustering), clustering)
-    np.testing.assert_array_equal(recovered.values, pooled.values)
-
-
-def test_pool_level_mismatch(clustering):
-    x = conv.FeatureMap(np.zeros((1, 12)), level=0)
-    with pytest.raises(ShapeError):
-        conv.pool_max(x, clustering)
-    with pytest.raises(ShapeError):
-        conv.unpool(conv.FeatureMap(np.zeros((1, 42)), level=1), clustering)
+    x = rng.standard_normal((3, 42))
+    pooled, _ = conv.pool_max_core(x, clustering)
+    recovered, _ = conv.pool_max_core(conv.unpool_core(pooled, clustering), clustering)
+    np.testing.assert_array_equal(recovered, pooled)
 
 
 def test_pool_gradient_routes_to_argmax(clustering):
     rng = np.random.default_rng(7)
-    x = conv.FeatureMap(rng.standard_normal((2, 42)), level=1)
-    pooled, argmax = conv.pool_max(x, clustering, return_argmax=True)
-    up = conv.FeatureMap(rng.standard_normal((2, 12)), level=0)
-    grad = conv.pool_max_backward(up, argmax, clustering)
+    x = rng.standard_normal((2, 42))
+    _, argmax = conv.pool_max_core(x, clustering, return_argmax=True)
+    up = rng.standard_normal((2, 12))
+    grad = conv.pool_max_backward_core(up, argmax, clustering.num_fine)
     for c in range(2):
         for cl_id in range(12):
             members = clustering.members(cl_id)
             winner = argmax[c, cl_id]
             for v in members:
-                expected = up.values[c, cl_id] if v == winner else 0.0
-                assert grad.values[c, v] == expected
-
-
-def test_pool_backward_requires_argmax(clustering):
-    up = conv.FeatureMap(np.zeros((1, 12)), level=0)
-    with pytest.raises(UsageError):
-        conv.pool_max_backward(up, None, clustering)
+                expected = up[c, cl_id] if v == winner else 0.0
+                assert grad[c, v] == expected
 
 
 def test_unpool_gradient_sums_members(clustering):
     rng = np.random.default_rng(8)
-    up = conv.FeatureMap(rng.standard_normal((1, 42)), level=1)
-    grad = conv.unpool_backward(up, clustering)
+    up = rng.standard_normal((1, 42))
+    grad = conv.unpool_backward_core(up, clustering)
     for cl_id in range(12):
-        assert grad.values[0, cl_id] == pytest.approx(
-            up.values[0, clustering.members(cl_id)].sum(), rel=1e-12
+        assert grad[0, cl_id] == pytest.approx(
+            up[0, clustering.members(cl_id)].sum(), rel=1e-12
         )
 
 

@@ -312,6 +312,32 @@ def test_manifest_missing_file_rejected(tmp_path):
     assert io.load_manifest(path, check_files=False).subjects
 
 
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("subjects"),
+    lambda d: d.update(subjects={"sub0": {}}),
+    lambda d: d.pop("channel_names"),
+    lambda d: d.update(channel_names=[1]),
+    lambda d: d["subjects"][0].pop("id"),
+    lambda d: d["subjects"][0].update(id=7),
+    lambda d: d["subjects"][0].pop("files"),
+    lambda d: d["subjects"][0].update(files={"x": None}),
+    lambda d: d["subjects"][0].pop("age"),
+    lambda d: d["subjects"][0].update(age="old"),
+    lambda d: d["subjects"][0].update(sex=None),
+    lambda d: d["subjects"][0].update(sex=True),
+    lambda d: d["subjects"].__setitem__(0, "sub0"),
+])
+def test_manifest_missing_or_ill_typed_field(tmp_path, edit):
+    path = tmp_path / "manifest.json"
+    io.save_manifest(_manifest(tmp_path, [0]), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as err:
+        io.load_manifest(path, check_files=False)
+    assert err.value.path == str(path)
+
+
 def test_manifest_invalid_json(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text("{broken")

@@ -119,7 +119,7 @@ def test_clustering_total_and_surjective():
 def test_midpoint_tie_breaks_to_lower_endpoint():
     coarse = mesh.icosphere(0)
     fine = mesh.icosphere(1)
-    h = mesh.build_hierarchy(1)
+    h = mesh.build_hierarchy(4)
     cl = h.clustering(1)
     for eidx in range(coarse.num_edges):
         v = 12 + eidx
@@ -128,6 +128,13 @@ def test_midpoint_tie_breaks_to_lower_endpoint():
         d_b = np.linalg.norm(fine.vertices[v] - coarse.vertices[b])
         assert abs(d_a - d_b) < 1e-12, "midpoint is numerically equidistant"
         assert cl.parent[v] == min(a, b)
+    # brute-force nearest coarse vertex, ties to the lowest index
+    for fine_order in range(1, 5):
+        fine_v = h.mesh(fine_order).vertices
+        coarse_v = h.mesh(fine_order - 1).vertices
+        dist = np.linalg.norm(fine_v[:, None, :] - coarse_v[None, :, :], axis=2)
+        nearest = np.argmax(dist <= dist.min(axis=1, keepdims=True) + 1e-12, axis=1)
+        np.testing.assert_array_equal(h.clustering(fine_order).parent, nearest)
 
 
 def test_cluster_maps_deterministic():

@@ -60,59 +60,57 @@ def test_sample_mask_fraction_guard():
         net.sample_mask(42, 1.0, np.random.default_rng(0))
 
 
-def test_apply_mask_empty_is_identity():
-    x = conv.FeatureMap(np.arange(10.0).reshape(2, 5))
-    out = net.apply_mask(x, np.array([], dtype=int), np.array([9.0, 9.0]))
-    np.testing.assert_array_equal(out.values, x.values)
+def test_apply_mask_empty_is_identity(tiny_model):
+    x = np.arange(10.0).reshape(1, 2, 5)
+    xb, mask_matrix = net.masked_batch(tiny_model, x, [np.array([], dtype=int)])
+    np.testing.assert_array_equal(xb, x)
+    assert not mask_matrix.any()
 
 
-def test_apply_mask_full_replaces_everything():
-    x = conv.FeatureMap(np.arange(10.0).reshape(2, 5))
-    token = np.array([-1.0, 2.0])
-    out = net.apply_mask(x, np.arange(5), token)
-    np.testing.assert_array_equal(out.values, np.tile(token[:, None], (1, 5)))
+def test_apply_mask_full_replaces_everything(tiny_model):
+    x = np.arange(10.0).reshape(1, 2, 5)
+    token = tiny_model.params["mask_token"]
+    xb, mask_matrix = net.masked_batch(tiny_model, x, [np.arange(5)])
+    np.testing.assert_array_equal(xb[0], np.tile(token[:, None], (1, 5)))
+    assert mask_matrix.all()
 
 
-def test_apply_mask_single_column():
-    x = conv.FeatureMap(np.arange(10.0).reshape(2, 5))
-    out = net.apply_mask(x, np.array([3]), np.zeros(2))
-    assert np.all(out.values[:, 3] == 0.0)
+def test_apply_mask_single_column(tiny_model):
+    x = np.arange(20.0).reshape(2, 2, 5)
+    xb, mask_matrix = net.masked_batch(tiny_model, x, [np.array([3]), np.array([0])])
+    np.testing.assert_array_equal(xb[0][:, 3], tiny_model.params["mask_token"])
     np.testing.assert_array_equal(
-        np.delete(out.values, 3, axis=1), np.delete(x.values, 3, axis=1)
+        np.delete(xb[0], 3, axis=1), np.delete(x[0], 3, axis=1)
     )
-
-
-def test_apply_mask_out_of_range():
-    x = conv.FeatureMap(np.zeros((1, 5)))
-    with pytest.raises(UsageError):
-        net.apply_mask(x, np.array([5]), np.zeros(1))
+    np.testing.assert_array_equal(xb[1][:, 1:], x[1][:, 1:])
+    np.testing.assert_array_equal(mask_matrix, [[0, 0, 0, 1, 0], [1, 0, 0, 0, 0]])
+    assert x[0, 0, 3] == 3.0  # the input is left untouched
 
 
 # -- loss ------------------------------------------------------------------------
 
 
 def test_loss_zero_for_perfect_reconstruction():
-    x = conv.FeatureMap(np.random.default_rng(0).standard_normal((2, 6)))
-    assert net.loss_l1(x, x, np.array([0, 3])) == 0.0
+    x = np.random.default_rng(0).standard_normal((1, 2, 6))
+    loss, grad = net.batch_loss_and_grad(x, x, [np.array([0, 3])])
+    assert loss == 0.0
+    assert not grad.any()
 
 
 def test_loss_single_vertex():
-    xhat = conv.FeatureMap(np.array([[2.0]]))
-    x = conv.FeatureMap(np.array([[5.0]]))
-    assert net.loss_l1(xhat, x, np.array([0])) == 3.0
+    loss, _ = net.batch_loss_and_grad(
+        np.array([[[2.0]]]), np.array([[[5.0]]]), [np.array([0])]
+    )
+    assert loss == 3.0
 
 
 def test_loss_averages_over_mask():
-    xhat = conv.FeatureMap(np.array([[1.0, 0.0, 4.0]]))
-    x = conv.FeatureMap(np.array([[0.0, 0.0, 1.0]]))
+    xhat = np.array([[[1.0, 0.0, 4.0]]])
+    x = np.array([[[0.0, 0.0, 1.0]]])
     # deviations 1 and 3 on the two masked vertices -> mean 2
-    assert net.loss_l1(xhat, x, np.array([0, 2])) == 2.0
-
-
-def test_loss_empty_mask_rejected():
-    x = conv.FeatureMap(np.zeros((1, 4)))
-    with pytest.raises(UsageError):
-        net.loss_l1(x, x, np.array([], dtype=int))
+    loss, grad = net.batch_loss_and_grad(xhat, x, [np.array([0, 2])])
+    assert loss == 2.0
+    np.testing.assert_array_equal(grad, [[[0.5, 0.0, 0.5]]])
 
 
 # -- forward ---------------------------------------------------------------------
@@ -437,3 +435,24 @@ def test_checkpoint_rejects_garbage(tmp_path):
     with pytest.raises(ParseError) as err:
         net.load_model(path)
     assert err.value.offset is not None
+
+
+def _with_config_block(blob):
+    return b"SMMN\x01\x01" + len(blob).to_bytes(4, "little") + blob
+
+
+@pytest.mark.parametrize("blob", [
+    b"\xff\xfe not utf-8",
+    b"{broken",
+    b'{"input_order": 1}',
+    b'{"input_order": 1, "channels": [3, 3], "in_channels": 1, "l_max": 2, '
+    b'"ctx_dim": 2, "channel_names": ["x"], "seed": 0}',
+    b"[1, 2]",
+])
+def test_checkpoint_bad_config_block_is_parse_error_at_10(tmp_path, blob):
+    path = tmp_path / "bad.smmn"
+    path.write_bytes(_with_config_block(blob))
+    with pytest.raises(ParseError) as err:
+        net.load_model(path)
+    assert err.value.offset == 10
+    assert err.value.path == str(path)

@@ -184,14 +184,23 @@ def test_bh_rejections_match_classic_step_up():
         p = rng.uniform(size=m)
         alpha = 0.05
         _, reject = stats.bh_correct(p, alpha=alpha)
-        # classic step-up: largest i with p_(i) <= i alpha / m
+        # classic step-up: largest i with p_(i) < i alpha / m
         order = np.argsort(p)
         classic = np.zeros(m, dtype=bool)
         thresh = (np.arange(1, m + 1) * alpha) / m
-        passing = np.flatnonzero(p[order] <= thresh)
+        passing = np.flatnonzero(p[order] < thresh)
         if len(passing):
             classic[order[: passing.max() + 1]] = True
         np.testing.assert_array_equal(reject, classic)
+
+
+def test_bh_q_equal_to_alpha_is_not_rejected():
+    q, reject = stats.bh_correct([0.05], alpha=0.05)
+    assert q[0] == 0.05
+    assert not reject[0]
+    q, reject = stats.bh_correct([0.025, 0.05], alpha=0.05)
+    np.testing.assert_array_equal(q, [0.05, 0.05])
+    assert not reject.any()
 
 
 @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
@@ -251,6 +260,16 @@ def test_effect_report_detects_shifted_roi():
     assert report.significant[0].eta2 == max(r.eta2 for r in report.significant)
     etas = [r.eta2 for r in report.significant]
     assert etas == sorted(etas, reverse=True)
+
+
+def test_effect_report_q_equal_to_alpha_neither_rejected_nor_significant(monkeypatch):
+    monkeypatch.setattr(stats, "anova_oneway", lambda a, b: (4.0, 0.05, 0.2))
+    rng = np.random.default_rng(13)
+    report = stats.effect_report(_matrix(rng.uniform(size=(4, 1, 1))),
+                                 _matrix(rng.uniform(size=(4, 1, 1))), alpha=0.05)
+    assert report.rows[0].q == 0.05
+    assert not report.rows[0].rejected
+    assert report.significant == []
 
 
 def test_effect_report_small_group_marked_untested():
