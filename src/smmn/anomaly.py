@@ -16,11 +16,13 @@ deterministic: repeated runs give bit-identical reports.
 from dataclasses import dataclass, field
 import csv
 import json
+import math
 import warnings
 
 import numpy as np
 
-from .errors import ShapeError, UsageError
+from .errors import ParseError, ShapeError, UsageError
+from .io import text_lines
 from .net import ContextVector, forward_core, masked_batch
 
 
@@ -246,23 +248,34 @@ def write_scores_json(matrix, path):
 
 def read_scores_csv(path):
     """Rebuild a :class:`ScoreMatrix` from :func:`write_scores_csv` output."""
-    from .errors import ParseError
-
-    with open(path, newline="") as fp:
-        reader = csv.DictReader(fp)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != REPORT_COLUMNS:
+    lines = text_lines(path)
+    reader = csv.DictReader([line for _, line in lines])
+    if reader.fieldnames is None or tuple(reader.fieldnames) != REPORT_COLUMNS:
+        raise ParseError(
+            f"unexpected score table header {reader.fieldnames}", path=str(path),
+            offset=0,
+        )
+    rows = []
+    for row in reader:
+        try:
+            row["roi_id"] = int(row["roi_id"])
+            row["n_vertices"] = int(row["n_vertices"])
+            row["score"] = float(row["score"])
+            if not math.isfinite(row["score"]):
+                raise ValueError("non-finite score")
+        except (TypeError, ValueError):
             raise ParseError(
-                f"unexpected score table header {reader.fieldnames}", path=str(path),
-                offset=0,
-            )
-        rows = list(reader)
+                f"line {reader.line_num}: bad roi_id, n_vertices or score",
+                offset=lines[reader.line_num - 1][0], path=str(path),
+            ) from None
+        rows.append(row)
     if not rows:
         raise ParseError("score table has no rows", path=str(path), offset=0)
     subject_ids = list(dict.fromkeys(r["subject_id"] for r in rows))
     channels = tuple(dict.fromkeys(r["channel"] for r in rows))
-    roi_ids = list(dict.fromkeys(int(r["roi_id"]) for r in rows))
-    roi_names = {int(r["roi_id"]): r["roi_name"] for r in rows}
-    roi_sizes = {int(r["roi_id"]): int(r["n_vertices"]) for r in rows}
+    roi_ids = list(dict.fromkeys(r["roi_id"] for r in rows))
+    roi_names = {r["roi_id"]: r["roi_name"] for r in rows}
+    roi_sizes = {r["roi_id"]: r["n_vertices"] for r in rows}
     hemisphere = rows[0]["hemisphere"]
     scores = np.zeros((len(subject_ids), len(roi_ids), len(channels)))
     s_idx = {s: i for i, s in enumerate(subject_ids)}
@@ -270,8 +283,8 @@ def read_scores_csv(path):
     r_idx = {r: i for i, r in enumerate(roi_ids)}
     for row in rows:
         scores[
-            s_idx[row["subject_id"]], r_idx[int(row["roi_id"])], c_idx[row["channel"]]
-        ] = float(row["score"])
+            s_idx[row["subject_id"]], r_idx[row["roi_id"]], c_idx[row["channel"]]
+        ] = row["score"]
     return ScoreMatrix(
         subject_ids=subject_ids,
         hemisphere=hemisphere,

@@ -29,22 +29,22 @@ from .net import ContextVector
 
 def parse_config(path):
     """Flat key-value config: one `key = value` per line, # comments."""
-    out = {}
     try:
-        with open(path) as fp:
-            for lineno, line in enumerate(fp, start=1):
-                text = line.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                if "=" not in text:
-                    raise ParseError(
-                        f"line {lineno}: expected `key = value`, got {text!r}",
-                        path=str(path),
-                    )
-                key, value = text.split("=", 1)
-                out[key.strip()] = value.strip()
+        lines = io.text_lines(path)
     except OSError as exc:
         raise ParseError(f"cannot read config: {exc}", path=str(path)) from None
+    out = {}
+    for lineno, (offset, line) in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ParseError(
+                f"line {lineno}: expected `key = value`, got {text!r}",
+                offset=offset, path=str(path),
+            )
+        key, value = text.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 

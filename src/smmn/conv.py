@@ -18,8 +18,10 @@ Everything is linear in both features and filter coefficients (before
 the nonlinearity), so the backward passes are exact.  All reductions run
 in a fixed order; identical inputs give bit-identical outputs.
 
-Each mesh caches a :class:`ConvContext` per filter degree holding the
-incidence order and the filter basis sampled at every incidence.
+Each mesh caches a :class:`ConvContext` per filter degree holding its
+padded one-ring table and the filter basis sampled at every ring slot.
+Per-vertex and per-cluster reductions are gathers through a padded
+table followed by a sum or max over its columns.
 """
 
 from dataclasses import dataclass
@@ -90,12 +92,14 @@ class FacetFeatureMap:
 
 
 class ConvContext:
-    """Precomputed incidence structure of one mesh at one filter degree.
+    """Precomputed one-ring structure of one mesh at one filter degree.
 
-    Vertex-facet incidences are kept in vertex-major order (sorted by
-    vertex, then facet) so that per-vertex aggregation is a contiguous
-    segment reduction; ``inv_perm`` maps back to facet-major order
-    (incidence 3f + j is corner j of facet f) for the facet-side scatter.
+    ``slots`` (D, V) is the mesh's one-ring table, slot-major: the corner
+    id 3f + j in ring slot d of vertex v, or -1.  ``slot_facets`` holds
+    the facet ids and ``slot_basis`` (D, V, K) the filter basis divided
+    by the vertex degree (slot sums are then facet2vertex's means), zero
+    at the pads.  ``corner_slot[3f + j]`` is the flat index of corner j
+    of facet f in ``slots``; it folds slot arrays back onto facets.
     """
 
     def __init__(self, mesh, l_max):
@@ -108,23 +112,17 @@ class ConvContext:
             [filter_basis(l_max, th, ph) for th, ph in _V2F_ANGLES]
         )  # (3, K)
 
-        t_fm = mesh.facets.reshape(-1)
-        num_inc = len(t_fm)
-        e_ids = np.arange(num_inc)
-        perm = np.lexsort((e_ids // 3, t_fm))
-        self.perm_vm = perm
-        self.inv_perm = np.argsort(perm, kind="stable")
-        self.inc_facet_vm = (e_ids // 3)[perm]
-        self.inc_vertex_vm = t_fm[perm]
-        deg = np.bincount(t_fm, minlength=mesh.num_vertices)
-        self.starts_vm = np.zeros(mesh.num_vertices + 1, dtype=np.int64)
-        np.cumsum(deg, out=self.starts_vm[1:])
-        self.inv_deg = 1.0 / deg.astype(np.float64)
+        slots = self.slots = np.ascontiguousarray(mesh.one_ring.T)  # (D, V)
+        self.slot_facets = slots // 3  # the pads stay -1
+        # Sorting the flat table puts the pads first, then corners 0, 1, ...
+        self.corner_slot = np.argsort(slots, axis=None)[(slots < 0).sum():]
 
         theta, phi = incidence_angles(mesh)
-        self.basis_vm = np.ascontiguousarray(
-            filter_basis(l_max, theta, phi)[perm]
-        )  # (num_inc, K)
+        # Weight 1/degree makes slot sums means; weight 0 clears the pads,
+        # which gather the last row of the facet-major (3F, K) basis.
+        weight = np.where(slots >= 0, 1.0 / (slots >= 0).sum(axis=0), 0.0)
+        self.slot_basis = filter_basis(l_max, theta, phi)[slots]
+        self.slot_basis *= weight[..., None]
 
 
 def conv_context(mesh, l_max):
@@ -152,57 +150,54 @@ def v2f_backward_core(ctx, coeffs, x, grad_out):
     fj = np.einsum("oik,jk->joi", coeffs, ctx.v2f_basis)
     batch, c_in, _ = x.shape
     out_ch = grad_out.shape[1]
-    num_inc = 3 * ctx.num_facets
-    contrib = np.empty((batch, c_in, num_inc), dtype=np.float64)
+    contrib = np.zeros((batch, c_in, 3 * ctx.num_facets + 1))  # zero pad last
     grad_coeffs = np.zeros_like(coeffs)
     g_flat = np.ascontiguousarray(grad_out.transpose(1, 0, 2)).reshape(out_ch, -1)
     for j in range(3):
-        contrib[:, :, j::3] = np.matmul(fj[j].T, grad_out)
+        contrib[:, :, j:-1:3] = np.matmul(fj[j].T, grad_out)
         xj = np.ascontiguousarray(
             x[:, :, ctx.corners[j]].transpose(1, 0, 2)
         ).reshape(c_in, -1)
         grad_coeffs += (g_flat @ xj.T)[:, :, None] * ctx.v2f_basis[j][None, None, :]
-    ordered = contrib[:, :, ctx.perm_vm]
-    grad_x = np.add.reduceat(ordered, ctx.starts_vm[:-1], axis=-1)
+    grad_x = contrib[..., ctx.slots].sum(axis=-2)
     return grad_x, grad_coeffs
 
 
-def _incidence_filters(ctx, coeffs):
-    """Per-incidence filter matrices F(theta_e, phi_e), shape (E, out, in)."""
+def _with_pad(values, fill):
+    """``values`` plus one last-axis entry ``fill``, which index -1 gathers."""
+    pad = np.full(values.shape[:-1] + (1,), fill)
+    return np.concatenate([values, pad], axis=-1)
+
+
+def _filters(basis, coeffs):
+    """Filter matrices F(theta, phi) at (V, K) basis rows, as (V, out, in)."""
     out_ch, in_ch, k = coeffs.shape
-    return (ctx.basis_vm @ coeffs.reshape(out_ch * in_ch, k).T).reshape(
-        -1, out_ch, in_ch
-    )
-
-
-def _gather_rows(values, index):
-    """Row-gather of a (B, C, N) array as (index_len, C, B) blocks."""
-    flipped = np.ascontiguousarray(values.transpose(2, 1, 0))  # (N, C, B)
-    return flipped[index]
+    return (basis @ coeffs.reshape(out_ch * in_ch, k).T).reshape(-1, out_ch, in_ch)
 
 
 def f2v_forward_core(ctx, h, coeffs):
-    fe = _incidence_filters(ctx, coeffs)
-    hg = _gather_rows(h, ctx.inc_facet_vm)  # (E, in, B)
-    ge = np.matmul(fe, hg)  # (E, out, B)
-    acc = np.add.reduceat(ge, ctx.starts_vm[:-1], axis=0)  # (V, out, B)
-    return np.ascontiguousarray(acc.transpose(2, 1, 0)) * ctx.inv_deg[None, None, :]
+    rows = np.ascontiguousarray(_with_pad(h, 0.0).transpose(2, 1, 0))  # (F + 1, in, B)
+    acc = 0.0  # (V, out, B), summed one ring slot at a time, in slot order
+    for basis, facets in zip(ctx.slot_basis, ctx.slot_facets):
+        acc += np.matmul(_filters(basis, coeffs), rows[facets])
+    return np.ascontiguousarray(acc.transpose(2, 1, 0))
 
 
 def f2v_backward_core(ctx, coeffs, h, grad_out):
     batch, c_in, _ = h.shape
     out_ch, _, k = coeffs.shape
-    fe = _incidence_filters(ctx, coeffs)
-    hg = _gather_rows(h, ctx.inc_facet_vm)  # (E, in, B)
-    weighted = grad_out * ctx.inv_deg[None, None, :]
-    dge = _gather_rows(weighted, ctx.inc_vertex_vm)  # (E, out, B)
-    outer = np.matmul(dge, hg.transpose(0, 2, 1))  # (E, out, in)
-    grad_coeffs = (
-        outer.reshape(-1, out_ch * c_in).T @ ctx.basis_vm
-    ).reshape(out_ch, c_in, k)
-    dhe = np.matmul(fe.transpose(0, 2, 1), dge)  # (E, in, B)
-    fold = dhe[ctx.inv_perm].reshape(ctx.num_facets, 3, c_in, batch).sum(axis=1)
-    return np.ascontiguousarray(fold.transpose(2, 1, 0)), grad_coeffs
+    rows = np.ascontiguousarray(_with_pad(h, 0.0).transpose(2, 1, 0))  # (F + 1, in, B)
+    dv = np.ascontiguousarray(grad_out.transpose(2, 1, 0))  # (V, out, B)
+    grad_coeffs = 0.0  # (out * in, K)
+    dhe = np.empty(ctx.slots.shape + (c_in, batch))  # (D, V, in, B)
+    for d, (basis, facets) in enumerate(zip(ctx.slot_basis, ctx.slot_facets)):
+        outer = np.matmul(dv, rows[facets].transpose(0, 2, 1))  # (V, out, in)
+        grad_coeffs += outer.reshape(-1, out_ch * c_in).T @ basis
+        dhe[d] = np.matmul(_filters(basis, coeffs).transpose(0, 2, 1), dv)
+    fold = dhe.reshape(-1, c_in, batch)[ctx.corner_slot]
+    fold = fold.reshape(ctx.num_facets, 3, c_in, batch).sum(axis=1)
+    return (np.ascontiguousarray(fold.transpose(2, 1, 0)),
+            grad_coeffs.reshape(out_ch, c_in, k))
 
 
 def leaky_relu(x, slope=LEAKY_SLOPE):
@@ -237,17 +232,14 @@ def block_backward(ctx, saved, vf, fv, grad_out):
 
 
 def pool_max_core(x, clustering, return_argmax=False):
-    ordered = x[..., clustering.member_order]
-    cuts = clustering.starts[:-1]
-    out = np.maximum.reduceat(ordered, cuts, axis=-1)
+    """Cluster max over the -inf-padded member table; the argmax is a fine
+    vertex id, the lowest one on ties."""
+    members = _with_pad(x, -np.inf)[..., clustering.table]  # (..., Vc, D)
+    out = members.max(axis=-1)
     if not return_argmax:
         return out, None
-    spread = out[..., clustering.parent[clustering.member_order]]
-    member_ids = clustering.member_order
-    big = np.iinfo(np.int64).max
-    cand = np.where(ordered == spread, member_ids, big)
-    argmax = np.minimum.reduceat(cand, cuts, axis=-1)
-    return out, argmax
+    slot = members.argmax(axis=-1)
+    return out, clustering.table[np.arange(clustering.num_coarse), slot]
 
 
 def pool_max_backward_core(grad_out, argmax, num_fine):
@@ -261,8 +253,7 @@ def unpool_core(x, clustering):
 
 
 def unpool_backward_core(grad_out, clustering):
-    ordered = grad_out[..., clustering.member_order]
-    return np.add.reduceat(ordered, clustering.starts[:-1], axis=-1)
+    return _with_pad(grad_out, 0.0)[..., clustering.table].sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,14 @@ does not depend on host endianness.  Byte layouts are documented in
 
 from dataclasses import dataclass, field
 import json
+import math
 import os
 import struct
 import warnings
 
 import numpy as np
 
-from .errors import ParseError, UsageError
+from .errors import DomainError, ParseError, UsageError
 from .mesh import AtlasLabels, TriMesh
 
 CURV_MAGIC = b"\xff\xff\xff"
@@ -52,6 +53,25 @@ class _Cursor:
             raise ParseError(
                 "trailing bytes after payload", offset=self.offset, path=self.path
             )
+
+
+def text_lines(path):
+    """(byte offset, text) of each line of a UTF-8 text file, newlines kept.
+
+    A line that is not UTF-8 raises a ParseError at its byte offset.
+    """
+    with open(path, "rb") as fp:
+        raw_lines = fp.readlines()
+    out = []
+    offset = 0
+    for raw in raw_lines:
+        try:
+            out.append((offset, raw.decode("utf-8")))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"line is not UTF-8 text ({exc.reason})",
+                             offset=offset, path=str(path)) from None
+        offset += len(raw)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +192,14 @@ def read_atlas_csv(path, mesh, label_table=None, hemisphere="left"):
     """
     labels = np.zeros(mesh.num_vertices, dtype=np.int64)
     seen = np.zeros(mesh.num_vertices, dtype=bool)
-    offset = 0
-    with open(path, "rb") as fp:
-        lines = fp.readlines()
-    for lineno, raw in enumerate(lines):
-        text = raw.decode("utf-8").strip()
+    for lineno, (offset, line) in enumerate(text_lines(path)):
+        text = line.strip()
         if lineno == 0:
             if text != "vertex_index,label_id":
                 raise ParseError(
                     f"unexpected atlas header {text!r}", offset=0, path=str(path)
                 )
-            offset += len(raw)
-            continue
-        if text:
+        elif text:
             try:
                 v_str, l_str = text.split(",")
                 v, lab = int(v_str), int(l_str)
@@ -205,7 +220,6 @@ def read_atlas_csv(path, mesh, label_table=None, hemisphere="left"):
                 )
             labels[v] = lab
             seen[v] = True
-        offset += len(raw)
     names = dict(label_table) if label_table else {}
     return AtlasLabels(labels=labels, names=names, hemisphere=hemisphere)
 
@@ -220,11 +234,8 @@ def write_atlas_csv(path, atlas):
 def read_label_table(path):
     """Sidecar `label_id,name` table."""
     table = {}
-    with open(path, "rb") as fp:
-        lines = fp.readlines()
-    offset = 0
-    for lineno, raw in enumerate(lines):
-        text = raw.decode("utf-8").strip()
+    for lineno, (offset, line) in enumerate(text_lines(path)):
+        text = line.strip()
         if lineno == 0:
             if text != "label_id,name":
                 raise ParseError(
@@ -238,7 +249,6 @@ def read_label_table(path):
                 raise ParseError(
                     f"malformed label row {text!r}", offset=offset, path=str(path)
                 ) from None
-        offset += len(raw)
     return table
 
 
@@ -288,7 +298,12 @@ def read_subject_features(path):
     names = []
     for i in range(n_channels):
         (name_len,) = cur.unpack("<H", f"channel {i} name length")
-        names.append(cur.take(name_len, f"channel {i} name").decode("utf-8"))
+        start = cur.offset
+        try:
+            names.append(cur.take(name_len, f"channel {i} name").decode("utf-8"))
+        except UnicodeDecodeError:
+            raise ParseError(f"channel {i} name is not UTF-8", offset=start,
+                             path=str(path)) from None
     (n_vertices,) = cur.unpack("<I", "vertex count")
     rows = []
     for name in names:
@@ -368,11 +383,15 @@ def load_manifest(path, check_files=True):
     if not isinstance(doc, dict) or doc.get("format") != "smmn-manifest":
         raise ParseError("not a dataset manifest", offset=0, path=str(path))
 
-    def field(obj, key, kinds, where):
+    def field(obj, key, kinds, where, optional=False):
+        """``obj[key]`` checked against ``kinds``; None if optional and null."""
         value = obj.get(key) if isinstance(obj, dict) else None
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise ParseError(f"{where}: {key!r} is missing or of the wrong type",
-                             path=str(path))
+        if optional and value is None:
+            return None
+        if (isinstance(value, bool) or not isinstance(value, kinds)
+                or isinstance(value, float) and not math.isfinite(value)):
+            raise ParseError(f"{where}: {key!r} is missing, of the wrong type "
+                             "or not finite", path=str(path))
         return value
 
     root = os.path.dirname(os.path.abspath(path))
@@ -395,9 +414,9 @@ def load_manifest(path, check_files=True):
                 files=dict(files),
                 age=age,
                 sex=sex,
-                group=entry.get("group") or "control",
-                euler=entry.get("euler"),
-                split=entry.get("split") or "test",
+                group=field(entry, "group", str, where, optional=True) or "control",
+                euler=field(entry, "euler", (int, float), where, optional=True),
+                split=field(entry, "split", str, where, optional=True) or "test",
             )
         )
     channel_names = field(doc, "channel_names", list, "manifest")
@@ -406,9 +425,9 @@ def load_manifest(path, check_files=True):
     manifest = DatasetManifest(
         subjects=subjects,
         channel_names=tuple(channel_names),
-        seed=int(doc.get("seed", 0)),
-        atlas=doc.get("atlas"),
-        label_table=doc.get("label_table"),
+        seed=field(doc, "seed", int, "manifest", optional=True) or 0,
+        atlas=field(doc, "atlas", str, "manifest", optional=True),
+        label_table=field(doc, "label_table", str, "manifest", optional=True),
         root=root,
     )
     if check_files:
@@ -426,7 +445,11 @@ def load_manifest(path, check_files=True):
 
 
 def load_subject_features(manifest, entry):
-    """Stack one subject's per-channel files in manifest channel order."""
+    """Stack one subject's per-channel files in manifest channel order.
+
+    A non-finite value raises :class:`DomainError` naming the subject
+    and channel.
+    """
     rows = []
     for channel in manifest.channel_names:
         if channel not in entry.files:
@@ -438,7 +461,14 @@ def load_subject_features(manifest, entry):
             raise UsageError(
                 f"file {entry.files[channel]!r} does not carry channel {channel!r}"
             )
-        rows.append(values[names.index(channel)])
+        row = values[names.index(channel)]
+        if not np.all(np.isfinite(row)):
+            raise DomainError(
+                f"subject {entry.subject_id!r} channel {channel!r}: "
+                f"{int(np.sum(~np.isfinite(row)))} non-finite values in "
+                f"{entry.files[channel]!r}"
+            )
+        rows.append(row)
     return np.stack(rows)
 
 

@@ -8,8 +8,13 @@ ordering is canonical: the first vertices of order k are exactly the
 order k-1 vertices, followed by edge midpoints in ascending
 (min, max) edge order.
 
-All structures are immutable after construction and safe to share
-across threads.
+Variable-size neighbourhoods (the facets around a vertex or an edge,
+the members of a pooling cluster) are (N, D) tables padded with -1,
+all built by :func:`padded_groups`; a reduction over a neighbourhood
+is a gather through its table, with an identity element appended for
+the pads to gather, and a sum or max over the D columns.  All
+structures are immutable after construction and safe to share across
+threads.
 """
 
 from dataclasses import dataclass, field
@@ -32,6 +37,21 @@ _POLE_TOL = 1e-6
 def _normalize_rows(points):
     norms = np.linalg.norm(points, axis=-1, keepdims=True)
     return points / norms
+
+
+def padded_groups(keys, n):
+    """Ids 0..len(keys)-1 grouped by key as an (n, D) table.
+
+    Row k lists the ids i with ``keys[i] == k`` in ascending order,
+    padded with -1 up to the largest group size D.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    counts = np.bincount(keys, minlength=n)
+    table = np.full((n, counts.max(initial=0)), -1, dtype=np.int64)
+    # Boolean assignment fills row by row, in the order of the sorted ids.
+    table[np.arange(table.shape[1]) < counts[:, None]] = np.argsort(keys, kind="stable")
+    table.setflags(write=False)
+    return table
 
 
 class TriMesh:
@@ -103,44 +123,28 @@ class TriMesh:
     @cached_property
     def edge_facets(self):
         """(E, 2) incident facet ids per edge, ascending; raises if non-manifold."""
-        _, facet_edges = self._edge_data
-        eids = facet_edges.reshape(-1)
-        fids = np.repeat(np.arange(self.num_facets), 3)
-        counts = np.bincount(eids, minlength=self.num_edges)
+        table = padded_groups(self.facet_edges.reshape(-1), self.num_edges)
+        counts = (table >= 0).sum(axis=1)
         if np.any(counts != 2):
             bad = int(np.argmax(counts != 2))
             raise InvariantError(
                 f"mesh is not a closed 2-manifold: edge {bad} lies on "
                 f"{int(counts[bad])} facets"
             )
-        order = np.lexsort((fids, eids))
-        out = fids[order].reshape(self.num_edges, 2)
+        out = table // 3
         out.setflags(write=False)
         return out
 
     @cached_property
-    def vertex_facet_incidence(self):
-        """Vertex-major corner incidence as (starts, facet_ids, corner_ids).
-
-        ``facet_ids[starts[v]:starts[v+1]]`` are the facets incident to
-        vertex v in ascending facet order; ``corner_ids`` gives the corner
-        slot of v inside each facet.
-        """
-        verts = self.facets.reshape(-1)
-        fids = np.repeat(np.arange(self.num_facets), 3)
-        corners = np.tile(np.arange(3), self.num_facets)
-        order = np.lexsort((fids, verts))
-        starts = np.zeros(self.num_vertices + 1, dtype=np.int64)
-        np.cumsum(np.bincount(verts, minlength=self.num_vertices), out=starts[1:])
-        out = (starts, fids[order], corners[order])
-        for arr in out:
-            arr.setflags(write=False)
-        return out
+    def one_ring(self):
+        """(V, D) corner ids 3f + j at which each vertex sits, ascending in f,
+        padded with -1 up to the largest vertex degree D."""
+        return padded_groups(self.facets.reshape(-1), self.num_vertices)
 
     def vertex_facets(self, v):
         """Ascending ids of the facets incident to vertex v."""
-        starts, fids, _ = self.vertex_facet_incidence
-        return fids[starts[v] : starts[v + 1]]
+        ring = self.one_ring[v]
+        return ring[ring >= 0] // 3
 
     @cached_property
     def facet_normals(self):
@@ -285,17 +289,19 @@ def subdivide(mesh):
 class VertexClustering:
     """Assignment of fine-level vertices to coarse-level clusters.
 
-    ``parent[v]`` is the coarse vertex owning fine vertex v.
-    ``member_order`` lists fine vertices sorted by (parent, index) so that
-    ``member_order[starts[c]:starts[c+1]]`` are cluster c's members in
-    ascending index order.
+    ``parent[v]`` is the coarse vertex owning fine vertex v; every coarse
+    vertex owns at least itself.  ``table`` is the (num_coarse, D) member
+    table of :func:`padded_groups`: row c lists cluster c's fine vertices
+    in ascending order, padded with -1.
     """
 
     fine_order: int
     coarse_order: int
     parent: np.ndarray
-    member_order: np.ndarray
-    starts: np.ndarray
+
+    @cached_property
+    def table(self):
+        return padded_groups(self.parent, int(self.parent.max()) + 1)
 
     @property
     def num_fine(self):
@@ -303,10 +309,11 @@ class VertexClustering:
 
     @property
     def num_coarse(self):
-        return len(self.starts) - 1
+        return len(self.table)
 
     def members(self, c):
-        return self.member_order[self.starts[c] : self.starts[c + 1]]
+        row = self.table[c]
+        return row[row >= 0]
 
 
 def _nearest_with_ties(points, targets):
@@ -328,19 +335,15 @@ def _nearest_with_ties(points, targets):
 
 
 def cluster_to_coarse(coarse):
-    """Cluster each vertex of ``subdivide(coarse)`` onto its nearest coarse vertex.
+    """Parent of each vertex of ``subdivide(coarse)`` among the coarse vertices.
 
     Coarse vertices map to themselves.  The midpoint of edge (a, b), a < b,
     appended in ``coarse.edges`` order, is equidistant from a and b and
     nearer to them than to any other coarse vertex; the tie breaks to a.
     """
     parent = np.concatenate([np.arange(coarse.num_vertices), coarse.edges[:, 0]])
-    member_order = np.lexsort((np.arange(len(parent)), parent))
-    starts = np.zeros(coarse.num_vertices + 1, dtype=np.int64)
-    np.cumsum(np.bincount(parent, minlength=coarse.num_vertices), out=starts[1:])
-    for arr in (parent, member_order, starts):
-        arr.setflags(write=False)
-    return parent, member_order, starts
+    parent.setflags(write=False)
+    return parent
 
 
 @dataclass(frozen=True)
@@ -377,19 +380,11 @@ def build_hierarchy(max_order):
     if max_order < 1:
         raise ConfigurationError("hierarchy needs max_order >= 1")
     levels = tuple(icosphere(k) for k in range(max_order + 1))
-    clusterings = []
-    for k in range(max_order):
-        parent, member_order, starts = cluster_to_coarse(levels[k])
-        clusterings.append(
-            VertexClustering(
-                fine_order=k + 1,
-                coarse_order=k,
-                parent=parent,
-                member_order=member_order,
-                starts=starts,
-            )
-        )
-    return IcosphereHierarchy(levels=levels, clusterings=tuple(clusterings))
+    clusterings = tuple(
+        VertexClustering(k + 1, k, cluster_to_coarse(levels[k]))
+        for k in range(max_order)
+    )
+    return IcosphereHierarchy(levels=levels, clusterings=clusterings)
 
 
 def local_frames(vertices, north=(0.0, 0.0, 1.0), east=(1.0, 0.0, 0.0)):
@@ -459,15 +454,12 @@ def sphere_angles(points):
 
 def _candidate_pass(src, dirs, cand):
     """Containment test of each direction against padded candidate facets."""
-    safe = np.maximum(cand, 0)
-    tri = src.vertices[src.facets[safe]]  # (N, M, 3, 3)
-    a, b, c = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
-    d = dirs[:, None, :]
-    s1 = np.einsum("nmi,nmi->nm", np.cross(a, b), d)
-    s2 = np.einsum("nmi,nmi->nm", np.cross(b, c), d)
-    s3 = np.einsum("nmi,nmi->nm", np.cross(c, a), d)
-    eps = _CONTAINMENT_EPS
-    ok = (s1 >= -eps) & (s2 >= -eps) & (s3 >= -eps) & (cand >= 0)
+    tri = src.vertices[src.facets[cand]]  # (N, M, 3, 3); pads are masked below
+    ok = cand >= 0
+    for j in range(3):  # inside the great circle through corners j and j + 1
+        normal = np.cross(tri[..., j, :], tri[..., (j + 1) % 3, :])
+        side = np.einsum("nmi,nmi->nm", normal, dirs[:, None, :])
+        ok &= side >= -_CONTAINMENT_EPS
     return ok
 
 
@@ -480,25 +472,16 @@ def locate_facets(src, dirs):
     to the facet with the nearest centroid, so the result is total.
     """
     dirs = _normalize_rows(np.asarray(dirs, dtype=np.float64))
-    n = len(dirs)
-    starts, fids, _ = src.vertex_facet_incidence
     tree = cKDTree(src.vertices)
-    result = np.full(n, -1, dtype=np.int64)
+    result = np.full(len(dirs), -1, dtype=np.int64)
 
     for k_near in (1, 8):
         pending = np.where(result < 0)[0]
         if len(pending) == 0:
             return result
         _, near = tree.query(dirs[pending], k=k_near)
-        near = near.reshape(len(pending), -1)
-        cand_lists = []
-        for row in near:
-            cats = np.concatenate([fids[starts[v] : starts[v + 1]] for v in row])
-            cand_lists.append(np.unique(cats))
-        width = max(len(cl) for cl in cand_lists)
-        cand = np.full((len(pending), width), -1, dtype=np.int64)
-        for i, cl in enumerate(cand_lists):
-            cand[i, : len(cl)] = cl
+        # Facets around the nearest vertices; the -1 pads stay -1.
+        cand = src.one_ring[near].reshape(len(pending), -1) // 3
         ok = _candidate_pass(src, dirs[pending], cand)
         choice = np.where(ok, cand, np.iinfo(np.int64).max).min(axis=1)
         hit = ok.any(axis=1)

@@ -32,7 +32,9 @@ import numpy as np
 
 from . import conv
 from .conv import FeatureMap
-from .errors import ConfigurationError, ParseError, ShapeError, UsageError
+from .errors import (
+    ConfigurationError, DomainError, ParseError, ShapeError, UsageError,
+)
 from .io import _Cursor
 from .mesh import build_hierarchy
 from .spharm import num_coefficients
@@ -40,6 +42,7 @@ from .spharm import num_coefficients
 CHECKPOINT_MAGIC = b"SMMN"
 CHECKPOINT_KIND = 0x01
 CHECKPOINT_VERSION = 1
+_STD_SLOTS = {"norm_std": slice(None), "ctx_stats": slice(1, 2)}
 
 
 @dataclass
@@ -302,7 +305,7 @@ def forward_core(model, xb, ctxn, record=False):
             if record:
                 tape.append(("block", pre, order, saved))
         clustering = model.hierarchy.clustering(order)
-        h, argmax = conv.pool_max_core(h, clustering, return_argmax=True)
+        h, argmax = conv.pool_max_core(h, clustering, return_argmax=record)
         if record:
             tape.append(("pool", clustering, argmax))
 
@@ -504,6 +507,12 @@ def _evaluate(model, feats, ctxn, masks, batch_size):
     return math.fsum(total) / len(feats)
 
 
+def _check_finite(loss, what):
+    if not math.isfinite(loss):
+        raise DomainError(f"{what} is {loss!r}; check the inputs for "
+                          "non-finite or extreme values")
+
+
 def train(model, train_set, val_set, config, verbose=False):
     """Self-supervised masked training with early stopping.
 
@@ -511,7 +520,7 @@ def train(model, train_set, val_set, config, verbose=False):
     masks are drawn once (seeded) and held fixed so the early-stopping
     metric is comparable across epochs.  Fresh training masks are drawn
     every epoch.  The model keeps the parameters of the best validation
-    epoch.
+    epoch.  A non-finite train or val loss raises :class:`DomainError`.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise UsageError("train and validation sets must be non-empty")
@@ -537,6 +546,7 @@ def train(model, train_set, val_set, config, verbose=False):
     schedule_total = max(1, config.epochs - 1)
 
     epoch0_val = _evaluate(model, feats_va, ctx_va, val_masks, config.batch_size)
+    _check_finite(epoch0_val, "epoch 0 val loss")
     history = [
         {"epoch": 0, "lr": 0.0, "train_loss": math.nan, "val_loss": epoch0_val}
     ]
@@ -564,6 +574,8 @@ def train(model, train_set, val_set, config, verbose=False):
             epoch_losses.append(loss * len(idx))
         train_loss = math.fsum(epoch_losses) / len(train_set)
         val_loss = _evaluate(model, feats_va, ctx_va, val_masks, config.batch_size)
+        _check_finite(train_loss, f"epoch {epoch} train loss")
+        _check_finite(val_loss, f"epoch {epoch} val loss")
         history.append(
             {"epoch": epoch, "lr": lr, "train_loss": train_loss, "val_loss": val_loss}
         )
@@ -657,33 +669,37 @@ def load_model(path):
         raise ParseError(f"bad config block: {exc!r}", offset=10,
                          path=str(path)) from None
     model = MMNModel(cfg)
+    expected = {name: arr.shape for name, arr in model.params.items()}
+    expected.update(norm_mean=(cfg.in_channels,), norm_std=(cfg.in_channels,),
+                    ctx_stats=(2,))
     (n_arrays,) = cur.unpack("<I", "array count")
-    names = model.param_names() + ["norm_mean", "norm_std", "ctx_stats"]
-    if n_arrays != len(names):
+    if n_arrays != len(expected):
         raise ParseError(
-            f"checkpoint stores {n_arrays} arrays, model declares {len(names)}",
+            f"checkpoint stores {n_arrays} arrays, model declares {len(expected)}",
             offset=cur.offset - 4, path=str(path),
         )
-    for name in names:
+    for name in expected:
+        start = cur.offset
         (ndim,) = cur.unpack("<B", f"{name} ndim")
         shape = cur.unpack(f"<{ndim}q", f"{name} shape")
-        count = int(np.prod(shape)) if ndim else 1
+        if shape != expected[name]:
+            raise ParseError(
+                f"array {name} has shape {shape}, expected {expected[name]}",
+                offset=start, path=str(path),
+            )
         arr = np.frombuffer(
-            cur.take(8 * count, f"{name} data"), dtype="<f8"
+            cur.take(8 * math.prod(shape), f"{name} data"), dtype="<f8"
         ).reshape(shape).astype(np.float64)
-        if name == "norm_mean":
-            model.norm_mean = arr
-        elif name == "norm_std":
-            model.norm_std = arr
-        elif name == "ctx_stats":
-            model.ctx_stats = arr
-        else:
-            if model.params[name].shape != arr.shape:
-                raise ParseError(
-                    f"array {name} has shape {arr.shape}, expected "
-                    f"{model.params[name].shape}",
-                    offset=cur.offset, path=str(path),
-                )
+        if not np.all(np.isfinite(arr)):
+            raise ParseError(f"array {name} holds a non-finite value",
+                             offset=start, path=str(path))
+        # norm_std and the age std (ctx_stats[1]) divide the inputs.
+        if name in _STD_SLOTS and np.any(arr[_STD_SLOTS[name]] <= 0.0):
+            raise ParseError(f"array {name} holds a standard deviation <= 0",
+                             offset=start, path=str(path))
+        if name in model.params:
             model.params[name] = arr
+        else:
+            setattr(model, name, arr)
     cur.done()
     return model

@@ -4,6 +4,9 @@ import itertools
 import math
 
 import numpy as np
+from scipy.spatial import ConvexHull
+
+from smmn import mesh
 
 
 def permutation_p_mid(a, b, max_exact=100000, n_resample=100000, seed=0):
@@ -41,3 +44,16 @@ def permutation_p_mid(a, b, max_exact=100000, n_resample=100000, seed=0):
     return float(
         np.mean(dev > dev_obs + tol) + 0.5 * np.mean(np.abs(dev - dev_obs) <= tol)
     )
+
+
+def random_hull_mesh(n, seed):
+    """Irregular closed sphere mesh: the convex hull of n seeded random unit
+    vectors, every facet wound outward.  Vertex degrees spread well beyond
+    the icosphere's 5 and 6."""
+    points = np.random.default_rng(seed).standard_normal((n, 3))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    facets = ConvexHull(points).simplices.copy()
+    a, b, c = (points[facets[:, j]] for j in range(3))
+    inward = np.einsum("ij,ij->i", np.cross(b - a, c - a), a + b + c) < 0
+    facets[inward] = facets[inward][:, ::-1]
+    return mesh.TriMesh(points, facets)

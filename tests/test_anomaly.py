@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from smmn import anomaly, mesh, net, spharm, synth
-from smmn.errors import ShapeError, UsageError
+from smmn.errors import ParseError, ShapeError, UsageError
 
 
 @pytest.fixture(scope="module")
@@ -237,3 +237,21 @@ def test_scores_csv_json_round_trip(setup, tmp_path):
     doc = json.loads(json_path.read_text())
     assert len(doc["scores"]) == 3 * 14
     assert doc["scores"][0]["roi_id"] == matrix.roi_ids[0]
+
+
+@pytest.mark.parametrize("column, value", [
+    ("roi_id", "x"), ("n_vertices", "1.5"), ("score", "high"), ("score", "nan"),
+])
+def test_read_scores_csv_bad_value_is_parse_error(tmp_path, column, value):
+    good = {"subject_id": "s0", "hemisphere": "left", "channel": "thickness",
+            "roi_id": "3", "roi_name": "roi_3", "n_vertices": "12", "score": "0.5"}
+    bad = dict(good, **{column: value})
+    lines = [",".join(anomaly.REPORT_COLUMNS)] + [
+        ",".join(row[c] for c in anomaly.REPORT_COLUMNS) for row in (good, bad)
+    ]
+    path = tmp_path / "scores.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="line 3") as err:
+        anomaly.read_scores_csv(path)
+    assert err.value.offset == len(lines[0]) + len(lines[1]) + 2
+    assert err.value.path == str(path)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from smmn import anomaly, cli, io
+from smmn import anomaly, cli, io, net
 
 
 def run(*args):
@@ -76,6 +76,79 @@ def test_detect_checkpoint_with_broken_config_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "byte offset 10" in err
     assert "Traceback" not in err
+
+
+def _exit_2_without_traceback(capsys, *args):
+    capsys.readouterr()
+    assert run(*args) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+def test_detect_checkpoint_with_zero_norm_std_exits_2(tmp_path, capsys):
+    model = net.MMNModel(net.ModelConfig(input_order=1, channels=(2,),
+                                         channel_names=("thickness",)))
+    model.norm_std = np.array([0.0])
+    ckpt = tmp_path / "model.smmn"
+    net.save_model(model, ckpt)
+    err = _exit_2_without_traceback(
+        capsys, "detect", "--model", str(ckpt),
+        "--manifest", str(tmp_path / "missing.json"), "--out", str(tmp_path / "out"),
+    )
+    assert "norm_std" in err and str(ckpt) in err
+
+
+def test_stats_on_score_table_with_bad_roi_id_exits_2(tmp_path, capsys):
+    table = tmp_path / "scores.csv"
+    table.write_text(",".join(anomaly.REPORT_COLUMNS) + "\n"
+                     "s0,left,thickness,x,roi_x,12,0.5\n")
+    err = _exit_2_without_traceback(
+        capsys, "stats", "--group-a", str(table), "--group-b", str(table),
+        "--out", str(tmp_path / "out"),
+    )
+    assert "line 2" in err and "byte offset" in err
+
+
+def test_resample_atlas_with_non_utf8_byte_exits_2(tmp_path, capsys):
+    surf = tmp_path / "ico1.surf"
+    assert run("icosphere", "--order", "1", "--out", str(surf)) == 0
+    atlas = tmp_path / "atlas.csv"
+    atlas.write_bytes(b"vertex_index,label_id\n0,1\n1,\xff\n")
+    err = _exit_2_without_traceback(
+        capsys, "resample", "--surface", str(surf), "--order", "1",
+        "--atlas", str(atlas), "--atlas-out", str(tmp_path / "out.csv"),
+    )
+    assert "byte offset 26" in err
+
+
+def test_config_with_non_utf8_byte_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_bytes(b"order = 1\nseed = \xff\n")
+    err = _exit_2_without_traceback(
+        capsys, "synth", "--config", str(cfg), "--out", str(tmp_path / "ds")
+    )
+    assert "byte offset 10" in err
+
+
+def test_train_on_subject_with_nan_exits_2(tmp_path, capsys):
+    (tmp_path / "synth.cfg").write_text(
+        "order = 1\nn_subjects = 4\nn_train = 2\nn_val = 2\nn_rois = 3\nseed = 1\n"
+    )
+    assert run("synth", "--config", str(tmp_path / "synth.cfg"),
+               "--out", str(tmp_path / "ds")) == 0
+    manifest = io.load_manifest(tmp_path / "ds" / "manifest.json")
+    entry = manifest.split("train")[0]
+    path = manifest.resolve(entry.files["thickness"])
+    values, names = io.read_subject_features(path)
+    values[0, 3] = np.nan
+    io.write_subject_features(path, values, names)
+    (tmp_path / "train.cfg").write_text("order = 1\nchannels = 2\nepochs = 1\n")
+    err = _exit_2_without_traceback(
+        capsys, "train", "--manifest", str(tmp_path / "ds" / "manifest.json"),
+        "--config", str(tmp_path / "train.cfg"), "--out", str(tmp_path / "run"),
+    )
+    assert repr(entry.subject_id) in err and "'thickness'" in err
 
 
 def test_config_parsing(tmp_path):

@@ -6,6 +6,8 @@ import pytest
 from smmn import conv, mesh, spharm
 from smmn.errors import ShapeError
 
+import oracles
+
 
 # -- brute-force oracles, straight from the aggregation definitions ----------
 
@@ -24,7 +26,7 @@ def brute_vertex2facet(m, x, bank):
 def brute_facet2vertex(m, h, bank):
     out = np.zeros((bank.out_channels, m.num_vertices))
     for v in range(m.num_vertices):
-        incident = m.vertex_facets(v)
+        incident = np.flatnonzero((m.facets == v).any(axis=1))
         for f in incident:
             theta, phi = mesh.facet_geometry(m, v, int(f))
             out[:, v] += spharm.filter_eval(bank, theta, phi) @ h[:, f]
@@ -66,6 +68,50 @@ def test_vertex2vertex_matches_brute_force(order, rng):
     fast = conv.vertex2vertex(m, x, bank_vf, bank_fv, activation="linear")
     slow = brute_facet2vertex(m, brute_vertex2facet(m, x.values, bank_vf), bank_fv)
     assert np.abs(fast.values - slow).max() < 1e-12
+
+
+@pytest.fixture(scope="module")
+def hull():
+    m = oracles.random_hull_mesh(40, 4)
+    assert np.bincount(m.facets.reshape(-1)).max() > 6, "degrees beyond 6"
+    return m
+
+
+def test_operators_match_brute_force_on_irregular_mesh(hull, rng):
+    bank_vf = spharm.FilterBank.random(3, 2, 4, rng)
+    bank_fv = spharm.FilterBank.random(3, 4, 3, rng)
+    x = rng.standard_normal((2, hull.num_vertices))
+    h = rng.standard_normal((4, hull.num_facets))
+    g = brute_vertex2facet(hull, x, bank_vf)
+    fast_g = conv.vertex2facet(hull, conv.FeatureMap(x), bank_vf).values
+    assert np.abs(fast_g - g).max() < 1e-12
+    fast_v = conv.facet2vertex(hull, conv.FacetFeatureMap(h), bank_fv).values
+    assert np.abs(fast_v - brute_facet2vertex(hull, h, bank_fv)).max() < 1e-12
+    fast_vv = conv.vertex2vertex(hull, conv.FeatureMap(x), bank_vf, bank_fv,
+                                 activation="linear").values
+    assert np.abs(fast_vv - brute_facet2vertex(hull, g, bank_fv)).max() < 1e-12
+
+
+def test_backward_cores_are_adjoints_on_irregular_mesh(hull, rng):
+    # Both operators are bilinear in (features, coefficients): each
+    # backward core must be the exact adjoint in both arguments.
+    ctx = conv.conv_context(hull, 3)
+    c_vf = rng.standard_normal((3, 2, 16))
+    c_fv = rng.standard_normal((2, 3, 16))
+    x = rng.standard_normal((2, 2, hull.num_vertices))
+    h = rng.standard_normal((2, 3, hull.num_facets))
+    y = rng.standard_normal((2, 3, hull.num_facets))
+    z = rng.standard_normal((2, 2, hull.num_vertices))
+
+    ax = conv.v2f_forward_core(ctx, x, c_vf)
+    gx, gc = conv.v2f_backward_core(ctx, c_vf, x, y)
+    assert np.sum(ax * y) == pytest.approx(np.sum(x * gx), rel=1e-12)
+    assert np.sum(ax * y) == pytest.approx(np.sum(c_vf * gc), rel=1e-12)
+
+    bh = conv.f2v_forward_core(ctx, h, c_fv)
+    gh, gc = conv.f2v_backward_core(ctx, c_fv, h, z)
+    assert np.sum(bh * z) == pytest.approx(np.sum(h * gh), rel=1e-12)
+    assert np.sum(bh * z) == pytest.approx(np.sum(c_fv * gc), rel=1e-12)
 
 
 def test_constant_filter_constant_field_gives_three(rng):
@@ -279,8 +325,6 @@ def test_pool_singleton_cluster_identity():
         fine_order=None,
         coarse_order=None,
         parent=np.array([0, 0, 1]),
-        member_order=np.array([0, 1, 2]),
-        starts=np.array([0, 2, 3]),
     )
     x = np.array([[5.0, -1.0, 9.5]])
     out, argmax = conv.pool_max_core(x, cl, return_argmax=True)
@@ -301,8 +345,6 @@ def test_unpool_broadcast():
         fine_order=None,
         coarse_order=None,
         parent=np.array([0, 0, 1]),
-        member_order=np.array([0, 1, 2]),
-        starts=np.array([0, 2, 3]),
     )
     x = np.array([[4.0, 7.0]])
     np.testing.assert_array_equal(conv.unpool_core(x, cl), [[4.0, 4.0, 7.0]])

@@ -1,13 +1,17 @@
+import functools
 import json
 import math
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, strategies as st
 
-from smmn import io, mesh, synth
-from smmn.errors import ConfigurationError, ParseError, UsageError
+from smmn import io, mesh, net, synth
+from smmn.errors import ConfigurationError, DomainError, ParseError, UsageError
 
 TETRA_VERTICES = np.array(
     [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)], dtype=float
@@ -326,6 +330,15 @@ def test_manifest_missing_file_rejected(tmp_path):
     lambda d: d["subjects"][0].update(sex=None),
     lambda d: d["subjects"][0].update(sex=True),
     lambda d: d["subjects"].__setitem__(0, "sub0"),
+    lambda d: d["subjects"][0].update(euler="x"),
+    lambda d: d["subjects"][0].update(euler=float("nan")),
+    lambda d: d["subjects"][0].update(split=3),
+    lambda d: d["subjects"][0].update(group=["patient"]),
+    lambda d: d.update(seed="4"),
+    lambda d: d.update(seed=1.5),
+    lambda d: d.update(atlas=5),
+    lambda d: d.update(label_table=True),
+    lambda d: d["subjects"][0].update(age=float("inf")),
 ])
 def test_manifest_missing_or_ill_typed_field(tmp_path, edit):
     path = tmp_path / "manifest.json"
@@ -336,6 +349,79 @@ def test_manifest_missing_or_ill_typed_field(tmp_path, edit):
     with pytest.raises(ParseError) as err:
         io.load_manifest(path, check_files=False)
     assert err.value.path == str(path)
+
+
+def test_manifest_optional_fields_may_be_null(tmp_path):
+    path = tmp_path / "manifest.json"
+    io.save_manifest(_manifest(tmp_path, [None]), path)
+    doc = json.loads(path.read_text())
+    doc["subjects"][0].update(group=None, split=None)
+    doc.update(seed=None, atlas=None, label_table=None)
+    path.write_text(json.dumps(doc))
+    back = io.load_manifest(path)
+    entry = back.subjects[0]
+    assert (entry.group, entry.split, entry.euler) == ("control", "test", None)
+    assert (back.seed, back.atlas, back.label_table) == (0, None, None)
+
+
+def test_subject_features_non_finite_is_domain_error(tmp_path):
+    manifest = _manifest(tmp_path, [0])
+    values = np.zeros((1, 12))
+    values[0, 4] = np.inf
+    io.write_subject_features(tmp_path / "sub0.smmn", values, ("x",))
+    with pytest.raises(DomainError, match="'sub0' channel 'x'"):
+        io.load_subject_features(manifest, manifest.subjects[0])
+
+
+def test_label_table_non_utf8_offset(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(b"label_id,name\n1,precentral\n2,\xffsuperior\n")
+    with pytest.raises(ParseError) as err:
+        io.read_label_table(path)
+    assert err.value.offset == 27
+    assert err.value.path == str(path)
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_containers():
+    """Bytes of a small valid checkpoint and subject container."""
+    with tempfile.TemporaryDirectory() as tmp:
+        model = net.MMNModel(net.ModelConfig(input_order=1, channels=(2,), l_max=1,
+                                             channel_names=("x",), seed=5))
+        model.norm_mean, model.norm_std = np.array([0.5]), np.array([2.0])
+        model.ctx_stats = np.array([60.0, 8.0])
+        ckpt = os.path.join(tmp, "model.smmn")
+        net.save_model(model, ckpt)
+        subject = os.path.join(tmp, "subject.smmn")
+        io.write_subject_features(subject, np.arange(24.0).reshape(2, 12),
+                                  ("thickness", "area"))
+        with open(ckpt, "rb") as a, open(subject, "rb") as b:
+            return {"checkpoint": a.read(), "subject": b.read()}
+
+
+@given(
+    st.sampled_from(["checkpoint", "subject"]),
+    st.sampled_from(["truncate", "flip"]),
+    st.integers(0, 10**6),
+    st.integers(0, 7),
+)
+def test_damaged_container_raises_parse_error_or_loads(kind, damage, where, bit):
+    blob = _valid_containers()[kind]
+    at = where % len(blob)
+    if damage == "truncate":
+        blob = blob[:at]
+    else:
+        blob = blob[:at] + bytes([blob[at] ^ (1 << bit)]) + blob[at + 1 :]
+    reader = net.load_model if kind == "checkpoint" else io.read_subject_features
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "damaged.smmn")
+        with open(path, "wb") as fp:
+            fp.write(blob)
+        try:
+            reader(path)
+        except ParseError as exc:
+            assert exc.path == path
+            assert exc.offset is not None
 
 
 def test_manifest_invalid_json(tmp_path):

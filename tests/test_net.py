@@ -1,10 +1,13 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from smmn import conv, mesh, net, spharm
-from smmn.errors import ConfigurationError, ParseError, ShapeError, UsageError
+from smmn.errors import (
+    ConfigurationError, DomainError, ParseError, ShapeError, UsageError,
+)
 
 
 @pytest.fixture(scope="module")
@@ -244,10 +247,7 @@ def test_permutation_covariance():
     old_cl = model.hierarchy.clustering(1)
     new_parent = np.empty_like(old_cl.parent)
     new_parent[perm] = old_cl.parent
-    member_order = np.lexsort((np.arange(42), new_parent))
-    starts = np.zeros(13, dtype=np.int64)
-    np.cumsum(np.bincount(new_parent, minlength=12), out=starts[1:])
-    new_cl = mesh.VertexClustering(1, 0, new_parent, member_order, starts)
+    new_cl = mesh.VertexClustering(1, 0, new_parent)
     permuted_hier = mesh.IcosphereHierarchy(
         levels=(model.hierarchy.mesh(0), permuted_mesh),
         clusterings=(new_cl,),
@@ -384,6 +384,32 @@ def test_train_stats_come_from_train_split_only():
     assert model.ctx_stats[0] == ages.mean()
 
 
+def test_train_rejects_non_finite_loss():
+    cfg = net.ModelConfig(input_order=1, channels=(3,), in_channels=1,
+                          channel_names=("x",), seed=0)
+    data = _make_dataset(1, 8, 3)
+    data[2].features[0, 5] = np.nan
+    tc = net.TrainConfig(epochs=2, seed=0, batch_size=4)
+    with pytest.raises(DomainError, match="epoch 0 val loss"):
+        net.train(net.MMNModel(cfg), data[:6], data[6:], tc)
+
+
+def test_train_rejects_loss_that_turns_non_finite(monkeypatch):
+    cfg = net.ModelConfig(input_order=1, channels=(3,), in_channels=1,
+                          channel_names=("x",), seed=0)
+    data = _make_dataset(1, 8, 3)
+    calls = []
+
+    def evaluate(*args):
+        calls.append(1)
+        return 1.0 if len(calls) == 1 else math.inf
+
+    monkeypatch.setattr(net, "_evaluate", evaluate)
+    tc = net.TrainConfig(epochs=3, seed=0, batch_size=4)
+    with pytest.raises(DomainError, match="epoch 1 val loss"):
+        net.train(net.MMNModel(cfg), data[:6], data[6:], tc)
+
+
 def test_train_rejects_empty_sets(tiny_model):
     with pytest.raises(UsageError):
         net.train(tiny_model, [], [], net.TrainConfig())
@@ -435,6 +461,63 @@ def test_checkpoint_rejects_garbage(tmp_path):
     with pytest.raises(ParseError) as err:
         net.load_model(path)
     assert err.value.offset is not None
+
+
+def _array_offsets(path, model):
+    """Byte offset of every array record of a checkpoint, by name."""
+    blob = path.read_bytes()
+    offset = 10 + int.from_bytes(blob[6:10], "little") + 4
+    offsets = {}
+    for name in model.param_names() + ["norm_mean", "norm_std", "ctx_stats"]:
+        offsets[name] = offset
+        ndim = blob[offset]
+        shape = np.frombuffer(blob[offset + 1 : offset + 1 + 8 * ndim], "<i8")
+        offset += 1 + 8 * ndim + 8 * int(np.prod(shape))
+    assert offset == len(blob)
+    return offsets
+
+
+@pytest.mark.parametrize("name, value", [
+    ("norm_std", [0.0]),
+    ("norm_std", [-1.0]),
+    ("norm_std", [np.inf]),
+    ("norm_mean", [np.nan]),
+    ("norm_mean", [0.0, 1.0]),
+    ("ctx_stats", [60.0, 0.0]),
+    ("ctx_stats", [60.0, 10.0, 1.0]),
+    ("ctx_stats", [np.nan, 10.0]),
+    ("mask_token", [np.nan]),
+])
+def test_checkpoint_rejects_bad_array(tmp_path, name, value):
+    cfg = net.ModelConfig(input_order=1, channels=(3,), in_channels=1, l_max=2,
+                          channel_names=("x",), seed=2)
+    model = net.MMNModel(cfg)
+    if name in model.params:
+        model.params[name] = np.array(value)
+    else:
+        setattr(model, name, np.array(value))
+    path = tmp_path / "model.smmn"
+    net.save_model(model, path)
+    offsets = _array_offsets(path, model)
+    with pytest.raises(ParseError, match=name) as err:
+        net.load_model(path)
+    assert err.value.offset == offsets[name]
+    assert err.value.path == str(path)
+
+
+def test_checkpoint_rejects_negative_shape(tmp_path):
+    cfg = net.ModelConfig(input_order=1, channels=(3,), in_channels=1, l_max=2,
+                          channel_names=("x",), seed=2)
+    model = net.MMNModel(cfg)
+    path = tmp_path / "model.smmn"
+    net.save_model(model, path)
+    at = _array_offsets(path, model)["norm_mean"]
+    blob = bytearray(path.read_bytes())
+    blob[at + 1 : at + 9] = struct.pack("<q", -1)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ParseError, match="norm_mean") as err:
+        net.load_model(path)
+    assert err.value.offset == at
 
 
 def _with_config_block(blob):
