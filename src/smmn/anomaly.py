@@ -34,7 +34,6 @@ class SubjectRecord:
     features: np.ndarray  # (C, V) raw feature values
     context: ContextVector
     hemisphere: str = "left"
-    atlas: object = None  # optional AtlasLabels reference
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)

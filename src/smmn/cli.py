@@ -12,8 +12,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import anomaly, io, net, stats, synth
 from .errors import (
     ConfigurationError,
@@ -48,22 +46,45 @@ def parse_config(path):
     return out
 
 
-def _cfg(config, key, cast, default):
-    if key not in config:
-        return default
-    raw = config[key]
-    try:
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    except ValueError:
-        raise UsageError(f"config key {key!r} has malformed value {raw!r}") from None
+# The documented keys of each config file and how each value is cast; a
+# one-element tuple ``(cast,)`` reads a comma-separated list.  Defaults
+# live in the dataclasses the values are passed to.
+_SYNTH_KEYS = {
+    "order": int, "n_subjects": int, "n_patients": int, "n_train": int,
+    "n_val": int, "age_min": float, "age_max": float, "sex_balance": float,
+    "field_degree": int, "field_scale": float, "age_slope": (float,),
+    "noise_std": (float,), "channel_names": (str,), "n_rois": int,
+    "anomaly_roi": int, "anomaly_amplitude": float, "affected_fraction": float,
+    "seed": int,
+}
+_TRAIN_KEYS = {
+    "mask_fraction": float, "lr": float, "lr_min": float, "epochs": int,
+    "weight_decay": float, "patience": int, "batch_size": int, "seed": int,
+}
+_MODEL_KEYS = {"order": int, "channels": (int,), "l_max": int, "L": int}
 
 
-def _cfg_list(config, key, cast, default):
-    if key not in config:
-        return default
-    return tuple(cast(part.strip()) for part in config[key].split(",") if part.strip())
+def _config_values(config, casts):
+    """The keys of ``casts`` that ``config`` sets, with their values cast.
+
+    A value that does not cast is a UsageError naming the key.
+    """
+    out = {}
+    for key, cast in casts.items():
+        if key not in config:
+            continue
+        raw = config[key]
+        try:
+            if isinstance(cast, tuple):
+                parts = (part.strip() for part in raw.split(","))
+                out[key] = tuple(cast[0](part) for part in parts if part)
+            else:
+                out[key] = cast(raw)
+        except ValueError:
+            raise UsageError(
+                f"config key {key!r} has malformed value {raw!r}"
+            ) from None
+    return out
 
 
 class _Parser(argparse.ArgumentParser):
@@ -170,31 +191,13 @@ def _cmd_resample(args):
 
 
 def _synth_config(config, seed_override):
-    cfg = synth.SynthConfig(
-        order=_cfg(config, "order", int, 3),
-        n_subjects=_cfg(config, "n_subjects", int, 100),
-        n_patients=_cfg(config, "n_patients", int, 0),
-        n_train=_cfg(config, "n_train", int, 0),
-        n_val=_cfg(config, "n_val", int, 0),
-        age_range=(
-            _cfg(config, "age_min", float, 45.0),
-            _cfg(config, "age_max", float, 85.0),
-        ),
-        sex_balance=_cfg(config, "sex_balance", float, 0.5),
-        field_degree=_cfg(config, "field_degree", int, 2),
-        field_scale=_cfg(config, "field_scale", float, 1.0),
-        age_slope=_cfg_list(config, "age_slope", float, (-0.03,)),
-        noise_std=_cfg_list(config, "noise_std", float, (0.25,)),
-        channel_names=_cfg_list(config, "channel_names", str, ("thickness",)),
-        n_rois=_cfg(config, "n_rois", int, 34),
-        anomaly_roi=_cfg(config, "anomaly_roi", int, 1),
-        anomaly_amplitude=_cfg(config, "anomaly_amplitude", float, 0.0),
-        affected_fraction=_cfg(config, "affected_fraction", float, 1.0),
-        seed=_cfg(config, "seed", int, 0),
-    )
+    values = _config_values(config, _SYNTH_KEYS)
+    age_min, age_max = synth.SynthConfig.age_range
+    values["age_range"] = (values.pop("age_min", age_min),
+                           values.pop("age_max", age_max))
     if seed_override is not None:
-        cfg.seed = seed_override
-    return cfg
+        values["seed"] = seed_override
+    return synth.SynthConfig(**values)
 
 
 def _cmd_synth(args):
@@ -227,24 +230,20 @@ def _cmd_train(args):
     val_entries = manifest.split("val")
     if not train_entries or not val_entries:
         raise UsageError("manifest needs non-empty train and val splits")
-    seed = args.seed if args.seed is not None else _cfg(config, "seed", int, 0)
+    train_values = _config_values(config, _TRAIN_KEYS)
+    if args.seed is not None:
+        train_values["seed"] = args.seed
+    train_cfg = net.TrainConfig(**train_values)
+    model_values = _config_values(config, _MODEL_KEYS)
+    # Renamed after l_max is read, so L overrides it.
+    for key, name in (("order", "input_order"), ("L", "l_max")):
+        if key in model_values:
+            model_values[name] = model_values.pop(key)
     model_cfg = net.ModelConfig(
-        input_order=_cfg(config, "order", int, 3),
-        channels=_cfg_list(config, "channels", int, (16, 32)),
         in_channels=len(manifest.channel_names),
-        l_max=_cfg(config, "L", int, _cfg(config, "l_max", int, 3)),
         channel_names=manifest.channel_names,
-        seed=seed,
-    )
-    train_cfg = net.TrainConfig(
-        mask_fraction=_cfg(config, "mask_fraction", float, 0.5),
-        lr=_cfg(config, "lr", float, 1e-3),
-        lr_min=_cfg(config, "lr_min", float, 1e-6),
-        epochs=_cfg(config, "epochs", int, 50),
-        weight_decay=_cfg(config, "weight_decay", float, 1e-4),
-        patience=_cfg(config, "patience", int, 10),
-        seed=seed,
-        batch_size=_cfg(config, "batch_size", int, 16),
+        seed=train_cfg.seed,
+        **model_values,
     )
     model = net.MMNModel(model_cfg)
     result = net.train(

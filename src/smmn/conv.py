@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ShapeError, UsageError
 from .mesh import incidence_angles
-from .spharm import filter_basis, num_coefficients
+from .spharm import filter_basis
 
 LEAKY_SLOPE = 0.01
 

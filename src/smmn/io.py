@@ -9,7 +9,7 @@ does not depend on host endianness.  Byte layouts are documented in
 ``docs/formats.md``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import json
 import math
 import os
@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DomainError, ParseError, UsageError
+from .errors import DomainError, InvariantError, ParseError, UsageError
 from .mesh import AtlasLabels, TriMesh
 
 CURV_MAGIC = b"\xff\xff\xff"
@@ -122,9 +122,10 @@ def read_fs_surface(path):
     Layout: 3-byte magic ff ff fe, a comment terminated by two newline
     bytes, big-endian int32 vertex and facet counts, vertex*3 big-endian
     float32 coordinates, facet*3 big-endian int32 indices.  Vertices must
-    lie on a common sphere (within 1%; template spheres are radius 100)
-    and are projected exactly onto the unit sphere, since downstream
-    meshes demand exact unit vertices.
+    be finite and lie on a common sphere (within 1%; template spheres are
+    radius 100); they are projected exactly onto the unit sphere, since
+    downstream meshes demand exact unit vertices.  A mesh that fails
+    :meth:`TriMesh.validate` is a ParseError at the facet block's offset.
     """
     with open(path, "rb") as fp:
         cur = _Cursor(fp.read(), str(path))
@@ -141,9 +142,14 @@ def read_fs_surface(path):
     n_vertices, n_facets = cur.unpack(">ii", "counts")
     if n_vertices < 0 or n_facets < 0:
         raise ParseError("negative count", offset=end + 2, path=str(path))
+    coord_off = cur.offset
     coords = np.frombuffer(
         cur.take(12 * n_vertices, "vertex coordinates"), dtype=">f4"
     ).astype(np.float64)
+    if not np.all(np.isfinite(coords)):
+        bad = int(np.argmin(np.isfinite(coords)))
+        raise ParseError("non-finite vertex coordinate",
+                         offset=coord_off + 4 * bad, path=str(path))
     facet_off = cur.offset
     facets = np.frombuffer(
         cur.take(12 * n_facets, "facet indices"), dtype=">i4"
@@ -158,16 +164,20 @@ def read_fs_surface(path):
         )
     vertices = coords.reshape(n_vertices, 3)
     radii = np.linalg.norm(vertices, axis=1)
-    mean_radius = radii.mean()
-    if mean_radius <= 0 or np.any(radii <= 0):
+    if n_vertices == 0 or np.any(radii <= 0):
         raise ParseError("degenerate surface radius", offset=end + 2, path=str(path))
+    mean_radius = radii.mean()
     if np.abs(radii - mean_radius).max() > 0.01 * mean_radius:
         raise ParseError(
             "surface is not spherical (vertex radii spread exceeds 1%)",
             offset=end + 2,
             path=str(path),
         )
-    return TriMesh(vertices / radii[:, None], facets.reshape(n_facets, 3))
+    try:
+        return TriMesh(vertices / radii[:, None], facets.reshape(n_facets, 3))
+    except InvariantError as exc:
+        raise ParseError(f"invalid mesh: {exc}", offset=facet_off,
+                         path=str(path)) from None
 
 
 def write_fs_surface(path, mesh, comment="created by smmn", radius=1.0):

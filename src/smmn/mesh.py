@@ -24,7 +24,7 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ConfigurationError, DomainError, InvariantError, UsageError
+from .errors import ConfigurationError, InvariantError, UsageError
 
 MAX_ICOSPHERE_ORDER = 8
 

@@ -8,6 +8,12 @@ broadcast unpooling.  At the bottleneck the subject's phenotype context
 along the vertex axis, and projected back to the bottleneck vertex count
 by a learned linear map.
 
+The architecture is stated once, as data: :meth:`ModelConfig.plan` lists
+the steps in execution order and :meth:`ModelConfig.param_shapes` derives
+every parameter's name and shape from it.  Parameter initialization,
+:func:`forward_core`, :func:`backward_core` (the plan in reverse) and the
+checkpoint reader all follow those two.
+
 Training minimizes the masked l1 objective
 
     L = (1/|M|) sum_{m in M} sum_c | xhat[c, m] - x[c, m] |
@@ -22,7 +28,7 @@ index order (so a rerun is bit-identical), while the spec-level
 per-sample loss, making it bit-exact under batch permutation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 import json
 import math
 import struct
@@ -36,7 +42,7 @@ from .errors import (
     ConfigurationError, DomainError, ParseError, ShapeError, UsageError,
 )
 from .io import _Cursor
-from .mesh import build_hierarchy
+from .mesh import MAX_ICOSPHERE_ORDER, build_hierarchy
 from .spharm import num_coefficients
 
 CHECKPOINT_MAGIC = b"SMMN"
@@ -99,14 +105,23 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.channels = tuple(int(c) for c in self.channels)
+        self.channels = tuple(self.channels)
         self.channel_names = tuple(self.channel_names)
         if len(self.channels) < 1:
             raise ConfigurationError("need at least one encoder level")
-        if self.input_order - len(self.channels) < 0:
+        for name, value, low in [
+            ("input_order", self.input_order, 0), ("in_channels", self.in_channels, 1),
+            ("l_max", self.l_max, 0), ("ctx_dim", self.ctx_dim, 0),
+            ("seed", self.seed, 0),
+        ] + [("channels", width, 1) for width in self.channels]:
+            if type(value) is not int or value < low:  # bools are not ints here
+                raise ConfigurationError(
+                    f"{name} must be an integer >= {low}, got {value!r}"
+                )
+        if not len(self.channels) <= self.input_order <= MAX_ICOSPHERE_ORDER:
             raise ConfigurationError(
-                f"{len(self.channels)} pooling levels do not fit under "
-                f"input order {self.input_order}"
+                f"input order {self.input_order} must lie between the number of "
+                f"pooling levels ({len(self.channels)}) and {MAX_ICOSPHERE_ORDER}"
             )
         if len(self.channel_names) != self.in_channels:
             raise ConfigurationError("channel_names must match in_channels")
@@ -118,6 +133,45 @@ class ModelConfig:
     @property
     def bottleneck_vertices(self):
         return 10 * 4**self.bottleneck_order + 2
+
+    def plan(self):
+        """The hourglass in execution order, one step per tuple.
+
+        ``("block", name, order, w_in, w_out, activate)`` is one
+        vertex2vertex convolution at icosphere ``order``;
+        ``("pool", order)`` and ``("unpool", order)`` move between
+        ``order`` and the next coarser one; ``("bottleneck",)`` injects
+        the context.  Each encoder level is two blocks and a pool, each
+        decoder level an unpool and two blocks; the last block is linear.
+        """
+        widths = (self.in_channels,) + self.channels
+        encoder, decoder = [], []
+        for lvl, order in enumerate(range(self.input_order, self.bottleneck_order, -1)):
+            w_in, w_out = widths[lvl], widths[lvl + 1]
+            encoder += [("block", f"enc{lvl}_c1", order, w_in, w_out, True),
+                        ("block", f"enc{lvl}_c2", order, w_out, w_out, True),
+                        ("pool", order)]
+            decoder[:0] = [("unpool", order),
+                           ("block", f"dec{lvl}_c1", order, w_out, w_out, True),
+                           ("block", f"dec{lvl}_c2", order, w_out, w_in, lvl > 0)]
+        return encoder + [("bottleneck",)] + decoder
+
+    def param_shapes(self):
+        """Parameter name -> shape, in declaration (and checkpoint) order:
+        the mask token, then each block's filters and bias and the context
+        projection in :meth:`plan` order."""
+        k = num_coefficients(self.l_max)
+        shapes = {"mask_token": (self.in_channels,)}
+        for step in self.plan():
+            if step[0] == "block":
+                _, name, _, w_in, w_out, _ = step
+                shapes[f"{name}_vf"] = (w_out, w_in, k)
+                shapes[f"{name}_fv"] = (w_out, w_out, k)
+                shapes[f"{name}_b"] = (w_out,)
+            elif step[0] == "bottleneck":
+                d = self.bottleneck_vertices
+                shapes["ctx_proj"] = (d + self.ctx_dim, d)
+        return shapes
 
 
 def cosine_lr(t, total, lr_max, lr_min):
@@ -163,10 +217,10 @@ def normalize_features(features):
 class MMNModel:
     """Masked mesh network with learnable SH filters and context bottleneck.
 
-    ``params`` maps parameter names to float64 arrays; its insertion
-    order is the canonical declaration order used by the checkpoint
-    format.  Normalization statistics (per-channel mean/std, age
-    mean/std) are set by :func:`train` and stored alongside.
+    ``params`` maps parameter names to float64 arrays in the order of
+    :meth:`ModelConfig.param_shapes`, which the checkpoint format keeps.
+    Normalization statistics (per-channel mean/std, age mean/std) are set
+    by :func:`train` and stored alongside.
     """
 
     def __init__(self, config, hierarchy=None):
@@ -177,61 +231,32 @@ class MMNModel:
         self.ctx_stats = np.array([0.0, 1.0])  # age mean, age std
         self.params = {}
         self._init_params()
-        self._contexts = [
-            conv.conv_context(self.hierarchy.mesh(order), config.l_max)
-            for order in range(config.input_order + 1)
-        ]
 
     # -- parameters ---------------------------------------------------------
 
     def _init_params(self):
+        """Draw every parameter from one seeded stream in declaration order."""
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
-        k = num_coefficients(cfg.l_max)
-        kappa = k / (4.0 * math.pi)
-
-        def vf_scale(c_in):
-            return math.sqrt(2.0) / math.sqrt(3.0 * c_in * kappa)
-
-        def fv_scale(c_in):
-            return math.sqrt(6.0 / (c_in * kappa))
-
-        # Small random token keeps fully-masked neighbourhoods off the
-        # activation kink (an all-zero token parks them exactly at 0).
-        self.params["mask_token"] = 0.1 * rng.standard_normal(cfg.in_channels)
-
-        widths = [cfg.in_channels] + list(cfg.channels)
-        for lvl in range(len(cfg.channels)):
-            for blk, (w_in, w_out) in enumerate(
-                [(widths[lvl], widths[lvl + 1]), (widths[lvl + 1], widths[lvl + 1])]
-            ):
-                pre = f"enc{lvl}_c{blk + 1}"
-                self.params[f"{pre}_vf"] = vf_scale(w_in) * rng.standard_normal(
-                    (w_out, w_in, k)
+        kappa = num_coefficients(cfg.l_max) / (4.0 * math.pi)
+        for name, shape in cfg.param_shapes().items():
+            if name == "mask_token":
+                # Small random token keeps fully-masked neighbourhoods off the
+                # activation kink (an all-zero token parks them exactly at 0).
+                self.params[name] = 0.1 * rng.standard_normal(shape)
+            elif name == "ctx_proj":
+                d = shape[1]
+                self.params[name] = np.vstack(
+                    [np.eye(d), 0.01 * rng.standard_normal((cfg.ctx_dim, d))]
                 )
-                self.params[f"{pre}_fv"] = fv_scale(w_out) * rng.standard_normal(
-                    (w_out, w_out, k)
-                )
-                self.params[f"{pre}_b"] = np.zeros(w_out)
-
-        d = cfg.bottleneck_vertices
-        proj = np.vstack(
-            [np.eye(d), 0.01 * rng.standard_normal((cfg.ctx_dim, d))]
-        )
-        self.params["ctx_proj"] = proj
-
-        for lvl in reversed(range(len(cfg.channels))):
-            for blk, (w_in, w_out) in enumerate(
-                [(widths[lvl + 1], widths[lvl + 1]), (widths[lvl + 1], widths[lvl])]
-            ):
-                pre = f"dec{lvl}_c{blk + 1}"
-                self.params[f"{pre}_vf"] = vf_scale(w_in) * rng.standard_normal(
-                    (w_out, w_in, k)
-                )
-                self.params[f"{pre}_fv"] = fv_scale(w_out) * rng.standard_normal(
-                    (w_out, w_out, k)
-                )
-                self.params[f"{pre}_b"] = np.zeros(w_out)
+            elif name.endswith("_b"):
+                self.params[name] = np.zeros(shape)
+            elif name.endswith("_vf"):
+                scale = math.sqrt(2.0) / math.sqrt(3.0 * shape[1] * kappa)
+                self.params[name] = scale * rng.standard_normal(shape)
+            else:
+                scale = math.sqrt(6.0 / (shape[1] * kappa))
+                self.params[name] = scale * rng.standard_normal(shape)
 
     def param_names(self):
         return list(self.params)
@@ -261,7 +286,9 @@ class MMNModel:
         return out
 
     def context_of(self, order):
-        return self._contexts[order]
+        """The :class:`~smmn.conv.ConvContext` of the order-``order`` mesh,
+        built on first use and cached by the mesh."""
+        return conv.conv_context(self.hierarchy.mesh(order), self.config.l_max)
 
     @property
     def num_input_vertices(self):
@@ -273,7 +300,7 @@ class MMNModel:
 
 
 def forward_core(model, xb, ctxn, record=False):
-    """Batched network forward pass.
+    """Batched network forward pass: one walk of ``model.config.plan()``.
 
     Parameters
     ----------
@@ -282,7 +309,8 @@ def forward_core(model, xb, ctxn, record=False):
     ctxn : (B, ctx_dim) array
         Normalized context vectors.
     record : bool
-        Keep the tape needed by :func:`backward_core`.
+        Keep the tape needed by :func:`backward_core`: what each plan step
+        saved, in plan order (None for an unpool).
 
     Returns
     -------
@@ -290,54 +318,39 @@ def forward_core(model, xb, ctxn, record=False):
     """
     cfg = model.config
     p = model.params
-    n_levels = len(cfg.channels)
     tape = [] if record else None
     h = xb
-
-    for lvl in range(n_levels):
-        order = cfg.input_order - lvl
-        cctx = model.context_of(order)
-        for blk in (1, 2):
-            pre = f"enc{lvl}_c{blk}"
+    for step in cfg.plan():
+        kind = step[0]
+        if kind == "block":
+            _, name, order, _, _, activate = step
+            # ``saved`` holds a block's buffers until the next block returns;
+            # freeing them sooner makes each pass fault numpy's large
+            # temporaries in again (1.7x the page faults at order 3, B = 34).
             h, saved = conv.block_forward(
-                cctx, h, p[f"{pre}_vf"], p[f"{pre}_fv"], p[f"{pre}_b"], True
+                model.context_of(order), h,
+                p[f"{name}_vf"], p[f"{name}_fv"], p[f"{name}_b"], activate,
             )
-            if record:
-                tape.append(("block", pre, order, saved))
-        clustering = model.hierarchy.clustering(order)
-        h, argmax = conv.pool_max_core(h, clustering, return_argmax=record)
-        if record:
-            tape.append(("pool", clustering, argmax))
-
-    # Context bottleneck: replicate, concatenate along vertices, project.
-    batch, c_l, d = h.shape
-    rep = np.broadcast_to(ctxn[:, None, :], (batch, c_l, cfg.ctx_dim))
-    zc = np.concatenate([h, rep], axis=2)
-    h = zc @ p["ctx_proj"]
-    if record:
-        tape.append(("bottleneck", zc))
-
-    for lvl in reversed(range(n_levels)):
-        order = cfg.input_order - lvl
-        clustering = model.hierarchy.clustering(order)
-        h = conv.unpool_core(h, clustering)
-        if record:
-            tape.append(("unpool", clustering))
-        cctx = model.context_of(order)
-        last_level = lvl == 0
-        for blk in (1, 2):
-            pre = f"dec{lvl}_c{blk}"
-            activate = not (last_level and blk == 2)
-            h, saved = conv.block_forward(
-                cctx, h, p[f"{pre}_vf"], p[f"{pre}_fv"], p[f"{pre}_b"], activate
+            entry = saved
+        elif kind == "pool":
+            h, entry = conv.pool_max_core(
+                h, model.hierarchy.clustering(step[1]), return_argmax=record
             )
-            if record:
-                tape.append(("block", pre, order, saved))
+        elif kind == "unpool":
+            h, entry = conv.unpool_core(h, model.hierarchy.clustering(step[1])), None
+        else:
+            # Context bottleneck: replicate, concatenate along vertices, project.
+            batch, c_l, _ = h.shape
+            rep = np.broadcast_to(ctxn[:, None, :], (batch, c_l, cfg.ctx_dim))
+            entry = np.concatenate([h, rep], axis=2)
+            h = entry @ p["ctx_proj"]
+        if record:
+            tape.append(entry)
     return h, tape
 
 
 def backward_core(model, tape, grad_out, mask_matrix):
-    """Walk the tape in reverse; returns gradients for every parameter.
+    """Every parameter's gradient, from the plan and its tape in reverse.
 
     ``mask_matrix`` is the (B, V) boolean mask used when building the
     input, needed to route gradient into the mask token.
@@ -347,30 +360,25 @@ def backward_core(model, tape, grad_out, mask_matrix):
     p = model.params
     grads = {name: np.zeros_like(arr) for name, arr in p.items()}
     g = grad_out
-    for entry in reversed(tape):
-        kind = entry[0]
+    for step, saved in zip(reversed(model.config.plan()), reversed(tape)):
+        kind = step[0]
         if kind == "block":
-            _, pre, order, saved = entry
-            cctx = model.context_of(order)
+            name, order = step[1:3]
             g, gvf, gfv, gb = conv.block_backward(
-                cctx, saved, p[f"{pre}_vf"], p[f"{pre}_fv"], g
+                model.context_of(order), saved, p[f"{name}_vf"], p[f"{name}_fv"], g
             )
-            grads[f"{pre}_vf"] += gvf
-            grads[f"{pre}_fv"] += gfv
-            grads[f"{pre}_b"] += gb
+            grads[f"{name}_vf"] += gvf
+            grads[f"{name}_fv"] += gfv
+            grads[f"{name}_b"] += gb
         elif kind == "pool":
-            _, clustering, argmax = entry
-            g = conv.pool_max_backward_core(g, argmax, clustering.num_fine)
+            num_fine = model.hierarchy.clustering(step[1]).num_fine
+            g = conv.pool_max_backward_core(g, saved, num_fine)
         elif kind == "unpool":
-            _, clustering = entry
-            g = conv.unpool_backward_core(g, clustering)
-        elif kind == "bottleneck":
-            _, zc = entry
-            grads["ctx_proj"] += np.einsum("bcd,bce->de", zc, g)
+            g = conv.unpool_backward_core(g, model.hierarchy.clustering(step[1]))
+        else:
+            grads["ctx_proj"] += np.einsum("bcd,bce->de", saved, g)
             d = model.config.bottleneck_vertices
             g = (g @ p["ctx_proj"].T)[:, :, :d]
-        else:  # pragma: no cover - tape is internal
-            raise UsageError(f"unknown tape entry {kind!r}")
     grads["mask_token"] += np.einsum("bcv,bv->c", g, mask_matrix)
     return grads
 
@@ -609,17 +617,7 @@ def train(model, train_set, val_set, config, verbose=False):
 
 def save_model(model, path):
     """Write the checkpoint: magic, kind, version, config JSON, f64 arrays."""
-    cfg = model.config
-    config_doc = {
-        "input_order": cfg.input_order,
-        "channels": list(cfg.channels),
-        "in_channels": cfg.in_channels,
-        "l_max": cfg.l_max,
-        "ctx_dim": cfg.ctx_dim,
-        "channel_names": list(cfg.channel_names),
-        "seed": cfg.seed,
-    }
-    blob = json.dumps(config_doc, sort_keys=True).encode("utf-8")
+    blob = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
     arrays = list(model.params.items()) + [
         ("norm_mean", model.norm_mean),
         ("norm_std", model.norm_std),
@@ -639,7 +637,11 @@ def save_model(model, path):
 
 
 def load_model(path):
-    """Read a checkpoint written by :func:`save_model`."""
+    """Read a checkpoint written by :func:`save_model`.
+
+    Every stored array is checked against the shapes the config declares
+    before the model (mesh hierarchy, parameters) is built.
+    """
     with open(path, "rb") as fp:
         cur = _Cursor(fp.read(), str(path))
     if cur.take(4, "magic") != CHECKPOINT_MAGIC:
@@ -655,21 +657,16 @@ def load_model(path):
     blob = cur.take(blob_len, "config block")
     try:
         doc = json.loads(blob.decode("utf-8"))
-        cfg = ModelConfig(
-            input_order=doc["input_order"],
-            channels=tuple(doc["channels"]),
-            in_channels=doc["in_channels"],
-            l_max=doc["l_max"],
-            ctx_dim=doc["ctx_dim"],
-            channel_names=tuple(doc["channel_names"]),
-            seed=doc["seed"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        # ValueError covers bad UTF-8, bad JSON and ConfigurationError.
+        keys = {f.name for f in fields(ModelConfig)}
+        if not isinstance(doc, dict) or doc.keys() != keys:
+            raise ValueError(f"keys must be exactly {sorted(keys)}")
+        cfg = ModelConfig(**doc)
+    except (TypeError, ValueError) as exc:
+        # ValueError covers bad UTF-8, bad JSON, the key set and
+        # ConfigurationError; TypeError a value of the wrong JSON type.
         raise ParseError(f"bad config block: {exc!r}", offset=10,
                          path=str(path)) from None
-    model = MMNModel(cfg)
-    expected = {name: arr.shape for name, arr in model.params.items()}
+    expected = cfg.param_shapes()
     expected.update(norm_mean=(cfg.in_channels,), norm_std=(cfg.in_channels,),
                     ctx_stats=(2,))
     (n_arrays,) = cur.unpack("<I", "array count")
@@ -678,6 +675,7 @@ def load_model(path):
             f"checkpoint stores {n_arrays} arrays, model declares {len(expected)}",
             offset=cur.offset - 4, path=str(path),
         )
+    arrays = {}
     for name in expected:
         start = cur.offset
         (ndim,) = cur.unpack("<B", f"{name} ndim")
@@ -697,9 +695,9 @@ def load_model(path):
         if name in _STD_SLOTS and np.any(arr[_STD_SLOTS[name]] <= 0.0):
             raise ParseError(f"array {name} holds a standard deviation <= 0",
                              offset=start, path=str(path))
-        if name in model.params:
-            model.params[name] = arr
-        else:
-            setattr(model, name, arr)
+        arrays[name] = arr
     cur.done()
+    model = MMNModel(cfg)
+    model.params = {name: arrays.pop(name) for name in model.params}
+    model.norm_mean, model.norm_std, model.ctx_stats = arrays.values()
     return model

@@ -11,7 +11,7 @@ deviation.  Generation is fully seeded: the same config writes a
 byte-identical dataset.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 import os
 

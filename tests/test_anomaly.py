@@ -37,12 +37,11 @@ def setup():
     return model, atlas, make(6, 3)
 
 
-def _as_record(sample, atlas=None):
+def _as_record(sample):
     return anomaly.SubjectRecord(
         subject_id=sample.subject_id,
         features=sample.features,
         context=sample.context,
-        atlas=atlas,
     )
 
 

@@ -131,6 +131,59 @@ def test_config_with_non_utf8_byte_exits_2(tmp_path, capsys):
     assert "byte offset 10" in err
 
 
+def test_detect_checkpoint_config_model_cannot_build_exits_2(tmp_path, capsys):
+    model = net.MMNModel(net.ModelConfig(input_order=1, channels=(2,),
+                                         channel_names=("thickness",)))
+    ckpt = tmp_path / "model.smmn"
+    net.save_model(model, ckpt)
+    blob = ckpt.read_bytes()
+    end = 10 + int.from_bytes(blob[6:10], "little")
+    config = blob[10:end].replace(b'"l_max": 3', b'"l_max": -1')
+    ckpt.write_bytes(blob[:6] + len(config).to_bytes(4, "little") + config
+                     + blob[end:])
+    err = _exit_2_without_traceback(
+        capsys, "detect", "--model", str(ckpt),
+        "--manifest", str(tmp_path / "missing.json"), "--out", str(tmp_path / "out"),
+    )
+    assert "l_max" in err and "byte offset 10" in err
+
+
+def _exit_1_without_traceback(capsys, *args):
+    capsys.readouterr()
+    assert run(*args) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("line, named", [
+    ("L = -1", "l_max"),
+    ("channels = 0", "channels"),
+    ("channels = 2,x", "channels"),
+])
+def test_train_config_bad_value_exits_1(tmp_path, capsys, line, named):
+    (tmp_path / "synth.cfg").write_text(
+        "order = 1\nn_subjects = 4\nn_train = 2\nn_val = 2\nn_rois = 3\n"
+    )
+    assert run("synth", "--config", str(tmp_path / "synth.cfg"),
+               "--out", str(tmp_path / "ds")) == 0
+    (tmp_path / "train.cfg").write_text(f"order = 1\nepochs = 1\n{line}\n")
+    err = _exit_1_without_traceback(
+        capsys, "train", "--manifest", str(tmp_path / "ds" / "manifest.json"),
+        "--config", str(tmp_path / "train.cfg"), "--out", str(tmp_path / "run"),
+    )
+    assert named in err
+
+
+def test_synth_config_bad_list_element_exits_1(tmp_path, capsys):
+    (tmp_path / "synth.cfg").write_text("order = 1\nage_slope = a\n")
+    err = _exit_1_without_traceback(
+        capsys, "synth", "--config", str(tmp_path / "synth.cfg"),
+        "--out", str(tmp_path / "ds"),
+    )
+    assert "'age_slope'" in err
+
+
 def test_train_on_subject_with_nan_exits_2(tmp_path, capsys):
     (tmp_path / "synth.cfg").write_text(
         "order = 1\nn_subjects = 4\nn_train = 2\nn_val = 2\nn_rois = 3\nseed = 1\n"
@@ -162,9 +215,9 @@ def test_config_parsing(tmp_path):
     )
     parsed = cli.parse_config(cfg)
     assert parsed == {"order": "2", "channels": "8, 16", "lr": "1e-3"}
-    assert cli._cfg_list(parsed, "channels", int, ()) == (8, 16)
-    assert cli._cfg(parsed, "lr", float, 0.0) == 1e-3
-    assert cli._cfg(parsed, "absent", int, 7) == 7
+    assert cli._config_values(
+        parsed, {"channels": (int,), "lr": float, "absent": int}
+    ) == {"channels": (8, 16), "lr": 1e-3}
 
 
 def test_resample_values_and_atlas(tmp_path):

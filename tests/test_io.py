@@ -91,11 +91,11 @@ def test_curv_truncated_values(tmp_path):
 # -- surface format -------------------------------------------------------------
 
 
-def _tetra_blob(comment=b"test"):
+def _tetra_blob(comment=b"test", vertices=TETRA_VERTICES, facets=TETRA_FACETS):
     blob = b"\xff\xff\xfe" + comment + b"\n\n"
     blob += struct.pack(">ii", 4, 4)
-    blob += TETRA_VERTICES.astype(">f4").tobytes()
-    blob += TETRA_FACETS.astype(">i4").tobytes()
+    blob += vertices.astype(">f4").tobytes()
+    blob += facets.astype(">i4").tobytes()
     return blob
 
 
@@ -143,6 +143,23 @@ def test_surface_unterminated_comment(tmp_path):
     with pytest.raises(ParseError) as err:
         io.read_fs_surface(path)
     assert err.value.offset == 3
+
+
+@pytest.mark.parametrize("damage", ["nan", "inf", "wound inward"])
+def test_surface_bad_geometry_is_parse_error(tmp_path, damage):
+    vertices, facets = TETRA_VERTICES.copy(), TETRA_FACETS
+    coords_at = len(b"\xff\xff\xfetest\n\n") + 8
+    if damage == "wound inward":
+        facets = facets[:, ::-1]
+        expected = coords_at + 48  # the facet block
+    else:
+        vertices[2, 1] = np.nan if damage == "nan" else np.inf
+        expected = coords_at + 4 * (2 * 3 + 1)
+    path = tmp_path / "bad.surf"
+    path.write_bytes(_tetra_blob(vertices=vertices, facets=facets))
+    with pytest.raises(ParseError) as err:
+        io.read_fs_surface(path)
+    assert (err.value.offset, err.value.path) == (expected, str(path))
 
 
 def test_surface_index_out_of_range(tmp_path):
@@ -384,7 +401,8 @@ def test_label_table_non_utf8_offset(tmp_path):
 
 @functools.lru_cache(maxsize=None)
 def _valid_containers():
-    """Bytes of a small valid checkpoint and subject container."""
+    """Bytes of a small valid checkpoint, subject container, surface and
+    per-vertex scalar file."""
     with tempfile.TemporaryDirectory() as tmp:
         model = net.MMNModel(net.ModelConfig(input_order=1, channels=(2,), l_max=1,
                                              channel_names=("x",), seed=5))
@@ -395,12 +413,25 @@ def _valid_containers():
         subject = os.path.join(tmp, "subject.smmn")
         io.write_subject_features(subject, np.arange(24.0).reshape(2, 12),
                                   ("thickness", "area"))
-        with open(ckpt, "rb") as a, open(subject, "rb") as b:
-            return {"checkpoint": a.read(), "subject": b.read()}
+        surface = os.path.join(tmp, "lh.sphere")
+        io.write_fs_surface(surface, mesh.icosphere(1))
+        curv = os.path.join(tmp, "lh.thickness")
+        io.write_fs_curv(curv, np.linspace(1.0, 4.0, 42), n_facets=80)
+        paths = {"checkpoint": ckpt, "subject": subject, "surface": surface,
+                 "curv": curv}
+        out = {}
+        for kind, path in paths.items():
+            with open(path, "rb") as fp:
+                out[kind] = fp.read()
+        return out
+
+
+_READERS = {"checkpoint": net.load_model, "subject": io.read_subject_features,
+            "surface": io.read_fs_surface, "curv": io.read_fs_curv}
 
 
 @given(
-    st.sampled_from(["checkpoint", "subject"]),
+    st.sampled_from(sorted(_READERS)),
     st.sampled_from(["truncate", "flip"]),
     st.integers(0, 10**6),
     st.integers(0, 7),
@@ -412,13 +443,12 @@ def test_damaged_container_raises_parse_error_or_loads(kind, damage, where, bit)
         blob = blob[:at]
     else:
         blob = blob[:at] + bytes([blob[at] ^ (1 << bit)]) + blob[at + 1 :]
-    reader = net.load_model if kind == "checkpoint" else io.read_subject_features
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "damaged.smmn")
         with open(path, "wb") as fp:
             fp.write(blob)
         try:
-            reader(path)
+            _READERS[kind](path)
         except ParseError as exc:
             assert exc.path == path
             assert exc.offset is not None

@@ -1,3 +1,4 @@
+import json
 import math
 import struct
 
@@ -524,6 +525,13 @@ def _with_config_block(blob):
     return b"SMMN\x01\x01" + len(blob).to_bytes(4, "little") + blob
 
 
+def _config_doc(**edits):
+    """A valid checkpoint config block with ``edits`` applied."""
+    doc = {"input_order": 1, "channels": [3], "in_channels": 1, "l_max": 2,
+           "ctx_dim": 2, "channel_names": ["x"], "seed": 0}
+    return json.dumps({**doc, **edits}, sort_keys=True).encode()
+
+
 @pytest.mark.parametrize("blob", [
     b"\xff\xfe not utf-8",
     b"{broken",
@@ -531,6 +539,15 @@ def _with_config_block(blob):
     b'{"input_order": 1, "channels": [3, 3], "in_channels": 1, "l_max": 2, '
     b'"ctx_dim": 2, "channel_names": ["x"], "seed": 0}',
     b"[1, 2]",
+    # values the model cannot build
+    _config_doc(l_max=-1),
+    _config_doc(channels=[0]),
+    _config_doc(ctx_dim=-1),
+    _config_doc(seed=-1),
+    _config_doc(input_order=9),
+    _config_doc(l_max=True),
+    # a key ModelConfig does not have
+    _config_doc(dropout=0),
 ])
 def test_checkpoint_bad_config_block_is_parse_error_at_10(tmp_path, blob):
     path = tmp_path / "bad.smmn"
@@ -539,3 +556,19 @@ def test_checkpoint_bad_config_block_is_parse_error_at_10(tmp_path, blob):
         net.load_model(path)
     assert err.value.offset == 10
     assert err.value.path == str(path)
+
+
+def test_checkpoint_shapes_checked_before_model_is_built(tmp_path, monkeypatch):
+    # An order-6 config block and nothing after it: no array count.
+    blob = _with_config_block(_config_doc(input_order=6, channels=[16, 32]))
+    path = tmp_path / "header.smmn"
+    path.write_bytes(blob)
+
+    def build(*args):
+        raise AssertionError("model built before its arrays were checked")
+
+    monkeypatch.setattr(net, "build_hierarchy", build)
+    monkeypatch.setattr(conv, "conv_context", build)
+    with pytest.raises(ParseError, match="array count") as err:
+        net.load_model(path)
+    assert err.value.offset == len(blob)
