@@ -21,8 +21,8 @@ import warnings
 
 import numpy as np
 
-from .errors import ParseError, ShapeError, UsageError
-from .io import text_lines
+from .errors import ShapeError, UsageError
+from .io import Cursor
 from .net import ContextVector, forward_core, masked_batch
 
 
@@ -246,30 +246,38 @@ def write_scores_json(matrix, path):
 
 
 def read_scores_csv(path):
-    """Rebuild a :class:`ScoreMatrix` from :func:`write_scores_csv` output."""
-    lines = text_lines(path)
+    """Rebuild a :class:`ScoreMatrix` from :func:`write_scores_csv` output.
+
+    A row the csv module rejects, or a bad value in one, is a ParseError
+    at the byte offset of the line it was read from.
+    """
+    cur = Cursor(path)
+    lines = cur.lines()
     reader = csv.DictReader([line for _, line in lines])
-    if reader.fieldnames is None or tuple(reader.fieldnames) != REPORT_COLUMNS:
-        raise ParseError(
-            f"unexpected score table header {reader.fieldnames}", path=str(path),
-            offset=0,
-        )
     rows = []
-    for row in reader:
-        try:
-            row["roi_id"] = int(row["roi_id"])
-            row["n_vertices"] = int(row["n_vertices"])
-            row["score"] = float(row["score"])
-            if not math.isfinite(row["score"]):
-                raise ValueError("non-finite score")
-        except (TypeError, ValueError):
-            raise ParseError(
-                f"line {reader.line_num}: bad roi_id, n_vertices or score",
-                offset=lines[reader.line_num - 1][0], path=str(path),
-            ) from None
-        rows.append(row)
+    try:
+        if reader.fieldnames is None or tuple(reader.fieldnames) != REPORT_COLUMNS:
+            raise cur.error(f"unexpected score table header {reader.fieldnames}", 0)
+        for row in reader:
+            try:
+                row["roi_id"] = int(row["roi_id"])
+                row["n_vertices"] = int(row["n_vertices"])
+                row["score"] = float(row["score"])
+                if not math.isfinite(row["score"]):
+                    raise ValueError("non-finite score")
+            except (TypeError, ValueError):
+                raise cur.error(
+                    f"line {reader.line_num}: bad roi_id, n_vertices or score",
+                    lines[reader.line_num - 1][0],
+                ) from None
+            rows.append(row)
+    except csv.Error as exc:
+        # DictReader.line_num is set only once a row parses; its reader's
+        # counts the line that failed.
+        line_num = reader.reader.line_num
+        raise cur.error(f"line {line_num}: {exc}", lines[line_num - 1][0]) from None
     if not rows:
-        raise ParseError("score table has no rows", path=str(path), offset=0)
+        raise cur.error("score table has no rows", 0)
     subject_ids = list(dict.fromkeys(r["subject_id"] for r in rows))
     channels = tuple(dict.fromkeys(r["channel"] for r in rows))
     roi_ids = list(dict.fromkeys(r["roi_id"] for r in rows))

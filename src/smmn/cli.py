@@ -27,20 +27,15 @@ from .net import ContextVector
 
 def parse_config(path):
     """Flat key-value config: one `key = value` per line, # comments."""
-    try:
-        lines = io.text_lines(path)
-    except OSError as exc:
-        raise ParseError(f"cannot read config: {exc}", path=str(path)) from None
+    cur = io.Cursor(path)
     out = {}
-    for lineno, (offset, line) in enumerate(lines, start=1):
+    for lineno, (offset, line) in enumerate(cur.lines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
         if "=" not in text:
-            raise ParseError(
-                f"line {lineno}: expected `key = value`, got {text!r}",
-                offset=offset, path=str(path),
-            )
+            raise cur.error(f"line {lineno}: expected `key = value`, got {text!r}",
+                            offset)
         key, value = text.split("=", 1)
         out[key.strip()] = value.strip()
     return out

@@ -1,15 +1,19 @@
 """File formats: neuroimaging binaries, atlas CSV, subject containers,
 dataset manifests, and the Euler-number quality filter.
 
-All binary parsers are strict: malformed input raises
-:class:`~smmn.errors.ParseError` carrying the byte offset of the
-failure, never partial data.  Writers and readers round-trip
-bit-exactly; the big-endian formats are parsed explicitly so behaviour
-does not depend on host endianness.  Byte layouts are documented in
-``docs/formats.md``.
+Every file the package reads enters through :class:`Cursor`, which holds
+the file's bytes and builds every :class:`~smmn.errors.ParseError`, so a
+malformed input always ends as one carrying the path and the byte offset
+of the failure, never as partial data.  The cursor also owns the
+``SMMN`` container header (shared with the model checkpoint in
+:mod:`smmn.net`), typed big- or little-endian array reads, and the
+UTF-8 line split of the text formats (config files and score tables
+included).  Writers and readers round-trip bit-exactly; the big-endian
+formats are parsed explicitly so behaviour does not depend on host
+endianness.  Byte layouts are documented in ``docs/formats.md``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import json
 import math
 import os
@@ -28,19 +32,26 @@ SUBJECT_KIND = 0x02
 SUBJECT_VERSION = 1
 
 
-class _Cursor:
-    """Byte cursor with offset-bearing errors."""
+class Cursor:
+    """One input file: its bytes, a read offset, and its parse errors.
 
-    def __init__(self, data, path):
-        self.data = data
-        self.path = path
+    :meth:`error` is the only place a ParseError is built; it fills in
+    the path.
+    """
+
+    def __init__(self, path):
+        self.path = str(path)
+        with open(path, "rb") as fp:
+            self.data = fp.read()
         self.offset = 0
+
+    def error(self, message, offset):
+        """The ParseError for ``message`` at byte ``offset`` of this file."""
+        return ParseError(message, offset=offset, path=self.path)
 
     def take(self, n, what):
         if self.offset + n > len(self.data):
-            raise ParseError(
-                f"truncated while reading {what}", offset=self.offset, path=self.path
-            )
+            raise self.error(f"truncated while reading {what}", self.offset)
         out = self.data[self.offset : self.offset + n]
         self.offset += n
         return out
@@ -48,30 +59,55 @@ class _Cursor:
     def unpack(self, fmt, what):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
+    def array(self, dtype, shape, what, finite=False):
+        """The next ``shape`` values stored as ``dtype``, read into a new
+        float64 (float ``dtype``) or int64 (integer ``dtype``) array.
+
+        With ``finite``, a NaN or infinity is a ParseError at its own offset.
+        """
+        dtype = np.dtype(dtype)
+        start = self.offset
+        raw = self.take(dtype.itemsize * math.prod(shape), what)
+        out = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(
+            np.float64 if dtype.kind == "f" else np.int64
+        )
+        if finite and not np.all(np.isfinite(out)):
+            bad = int(np.argmin(np.isfinite(out)))
+            raise self.error(f"non-finite value in {what}",
+                             start + dtype.itemsize * bad)
+        return out
+
+    def header(self, kind, version, what):
+        """Read the ``SMMN`` container header: the magic at offset 0, then
+        the ``kind`` byte at 4 and the format ``version`` byte at 5."""
+        if self.take(4, "magic") != CONTAINER_MAGIC:
+            raise self.error(f"bad {what} magic", 0)
+        got_kind, got_version = self.unpack("<BB", "kind/version")
+        if got_kind != kind:
+            raise self.error(f"not a {what} (kind {got_kind})", 4)
+        if got_version != version:
+            raise self.error(f"unsupported {what} version {got_version}", 5)
+
+    def lines(self):
+        """(byte offset, text) of each line, split after each ``\\n`` only
+        and newlines kept.  A line that is not UTF-8 is a ParseError at
+        its offset.
+        """
+        out = []
+        offset = 0
+        while offset < len(self.data):
+            end = self.data.find(b"\n", offset) + 1 or len(self.data)
+            try:
+                out.append((offset, self.data[offset:end].decode("utf-8")))
+            except UnicodeDecodeError as exc:
+                raise self.error(f"line is not UTF-8 text ({exc.reason})",
+                                 offset) from None
+            offset = end
+        return out
+
     def done(self):
         if self.offset != len(self.data):
-            raise ParseError(
-                "trailing bytes after payload", offset=self.offset, path=self.path
-            )
-
-
-def text_lines(path):
-    """(byte offset, text) of each line of a UTF-8 text file, newlines kept.
-
-    A line that is not UTF-8 raises a ParseError at its byte offset.
-    """
-    with open(path, "rb") as fp:
-        raw_lines = fp.readlines()
-    out = []
-    offset = 0
-    for raw in raw_lines:
-        try:
-            out.append((offset, raw.decode("utf-8")))
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"line is not UTF-8 text ({exc.reason})",
-                             offset=offset, path=str(path)) from None
-        offset += len(raw)
-    return out
+            raise self.error("trailing bytes after payload", self.offset)
 
 
 # ---------------------------------------------------------------------------
@@ -83,24 +119,18 @@ def read_fs_curv(path):
 
     Layout: 3-byte magic ff ff ff, big-endian int32 vertex count, facet
     count and values-per-vertex (must be 1), then vertex count big-endian
-    float32 values.
+    float32 values, which must be finite.
     """
-    with open(path, "rb") as fp:
-        cur = _Cursor(fp.read(), str(path))
+    cur = Cursor(path)
     if cur.take(3, "magic") != CURV_MAGIC:
-        raise ParseError("bad per-vertex scalar magic", offset=0, path=str(path))
+        raise cur.error("bad per-vertex scalar magic", 0)
     n_vertices, _n_facets, vals_per_vertex = cur.unpack(">iii", "header")
     if n_vertices < 0:
-        raise ParseError("negative vertex count", offset=3, path=str(path))
+        raise cur.error("negative vertex count", 3)
     if vals_per_vertex != 1:
-        raise ParseError(
-            f"values-per-vertex is {vals_per_vertex}, expected 1",
-            offset=11,
-            path=str(path),
-        )
-    raw = cur.take(4 * n_vertices, "vertex values")
+        raise cur.error(f"values-per-vertex is {vals_per_vertex}, expected 1", 11)
+    values = cur.array(">f4", (n_vertices,), "vertex values", finite=True)
     cur.done()
-    values = np.frombuffer(raw, dtype=">f4").astype(np.float64)
     return values, n_vertices
 
 
@@ -127,57 +157,39 @@ def read_fs_surface(path):
     downstream meshes demand exact unit vertices.  A mesh that fails
     :meth:`TriMesh.validate` is a ParseError at the facet block's offset.
     """
-    with open(path, "rb") as fp:
-        cur = _Cursor(fp.read(), str(path))
+    cur = Cursor(path)
     if cur.take(3, "magic") != SURF_MAGIC:
-        raise ParseError("bad surface magic", offset=0, path=str(path))
+        raise cur.error("bad surface magic", 0)
     end = cur.data.find(b"\n\n", cur.offset)
     if end < 0:
-        raise ParseError(
-            "unterminated comment (no double newline)",
-            offset=cur.offset,
-            path=str(path),
-        )
+        raise cur.error("unterminated comment (no double newline)", cur.offset)
     cur.offset = end + 2
     n_vertices, n_facets = cur.unpack(">ii", "counts")
     if n_vertices < 0 or n_facets < 0:
-        raise ParseError("negative count", offset=end + 2, path=str(path))
-    coord_off = cur.offset
-    coords = np.frombuffer(
-        cur.take(12 * n_vertices, "vertex coordinates"), dtype=">f4"
-    ).astype(np.float64)
-    if not np.all(np.isfinite(coords)):
-        bad = int(np.argmin(np.isfinite(coords)))
-        raise ParseError("non-finite vertex coordinate",
-                         offset=coord_off + 4 * bad, path=str(path))
+        raise cur.error("negative count", end + 2)
+    vertices = cur.array(">f4", (n_vertices, 3), "vertex coordinates", finite=True)
     facet_off = cur.offset
-    facets = np.frombuffer(
-        cur.take(12 * n_facets, "facet indices"), dtype=">i4"
-    ).astype(np.int64)
+    facets = cur.array(">i4", (n_facets, 3), "facet indices")
     cur.done()
-    if facets.size and (facets.min() < 0 or facets.max() >= n_vertices):
-        bad = int(np.argmax((facets < 0) | (facets >= n_vertices)))
-        raise ParseError(
-            f"facet index {facets[bad]} out of range (V={n_vertices})",
-            offset=facet_off + 4 * bad,
-            path=str(path),
+    out_of_range = (facets < 0) | (facets >= n_vertices)
+    if out_of_range.any():
+        bad = int(np.argmax(out_of_range))
+        raise cur.error(
+            f"facet index {facets.flat[bad]} out of range (V={n_vertices})",
+            facet_off + 4 * bad,
         )
-    vertices = coords.reshape(n_vertices, 3)
     radii = np.linalg.norm(vertices, axis=1)
     if n_vertices == 0 or np.any(radii <= 0):
-        raise ParseError("degenerate surface radius", offset=end + 2, path=str(path))
+        raise cur.error("degenerate surface radius", end + 2)
     mean_radius = radii.mean()
     if np.abs(radii - mean_radius).max() > 0.01 * mean_radius:
-        raise ParseError(
-            "surface is not spherical (vertex radii spread exceeds 1%)",
-            offset=end + 2,
-            path=str(path),
+        raise cur.error(
+            "surface is not spherical (vertex radii spread exceeds 1%)", end + 2
         )
     try:
-        return TriMesh(vertices / radii[:, None], facets.reshape(n_facets, 3))
+        return TriMesh(vertices / radii[:, None], facets)
     except InvariantError as exc:
-        raise ParseError(f"invalid mesh: {exc}", offset=facet_off,
-                         path=str(path)) from None
+        raise cur.error(f"invalid mesh: {exc}", facet_off) from None
 
 
 def write_fs_surface(path, mesh, comment="created by smmn", radius=1.0):
@@ -202,26 +214,21 @@ def read_atlas_csv(path, mesh, label_table=None, hemisphere="left"):
     """
     labels = np.zeros(mesh.num_vertices, dtype=np.int64)
     seen = np.zeros(mesh.num_vertices, dtype=bool)
-    for lineno, (offset, line) in enumerate(text_lines(path)):
+    cur = Cursor(path)
+    for lineno, (offset, line) in enumerate(cur.lines()):
         text = line.strip()
         if lineno == 0:
             if text != "vertex_index,label_id":
-                raise ParseError(
-                    f"unexpected atlas header {text!r}", offset=0, path=str(path)
-                )
+                raise cur.error(f"unexpected atlas header {text!r}", 0)
         elif text:
             try:
                 v_str, l_str = text.split(",")
-                v, lab = int(v_str), int(l_str)
-            except ValueError:
-                raise ParseError(
-                    f"malformed atlas row {text!r}", offset=offset, path=str(path)
-                ) from None
+                v, lab = int(v_str), np.int64(int(l_str))
+            except (ValueError, OverflowError):
+                raise cur.error(f"malformed atlas row {text!r}", offset) from None
             if v < 0 or v >= mesh.num_vertices:
-                raise ParseError(
-                    f"vertex index {v} outside mesh (V={mesh.num_vertices})",
-                    offset=offset,
-                    path=str(path),
+                raise cur.error(
+                    f"vertex index {v} outside mesh (V={mesh.num_vertices})", offset
                 )
             if seen[v]:
                 warnings.warn(
@@ -244,21 +251,18 @@ def write_atlas_csv(path, atlas):
 def read_label_table(path):
     """Sidecar `label_id,name` table."""
     table = {}
-    for lineno, (offset, line) in enumerate(text_lines(path)):
+    cur = Cursor(path)
+    for lineno, (offset, line) in enumerate(cur.lines()):
         text = line.strip()
         if lineno == 0:
             if text != "label_id,name":
-                raise ParseError(
-                    f"unexpected label table header {text!r}", offset=0, path=str(path)
-                )
+                raise cur.error(f"unexpected label table header {text!r}", 0)
         elif text:
             try:
                 l_str, name = text.split(",", 1)
                 table[int(l_str)] = name
             except ValueError:
-                raise ParseError(
-                    f"malformed label row {text!r}", offset=offset, path=str(path)
-                ) from None
+                raise cur.error(f"malformed label row {text!r}", offset) from None
     return table
 
 
@@ -293,17 +297,8 @@ def write_subject_features(path, values, channel_names):
 
 def read_subject_features(path):
     """Returns (values (C, V) as float64, channel_names)."""
-    with open(path, "rb") as fp:
-        cur = _Cursor(fp.read(), str(path))
-    if cur.take(4, "magic") != CONTAINER_MAGIC:
-        raise ParseError("bad container magic", offset=0, path=str(path))
-    kind, version = cur.unpack("<BB", "kind/version")
-    if kind != SUBJECT_KIND:
-        raise ParseError(f"not a subject container (kind {kind})", offset=4,
-                         path=str(path))
-    if version != SUBJECT_VERSION:
-        raise ParseError(f"unsupported container version {version}", offset=5,
-                         path=str(path))
+    cur = Cursor(path)
+    cur.header(SUBJECT_KIND, SUBJECT_VERSION, "subject container")
     (n_channels,) = cur.unpack("<I", "channel count")
     names = []
     for i in range(n_channels):
@@ -312,13 +307,9 @@ def read_subject_features(path):
         try:
             names.append(cur.take(name_len, f"channel {i} name").decode("utf-8"))
         except UnicodeDecodeError:
-            raise ParseError(f"channel {i} name is not UTF-8", offset=start,
-                             path=str(path)) from None
+            raise cur.error(f"channel {i} name is not UTF-8", start) from None
     (n_vertices,) = cur.unpack("<I", "vertex count")
-    rows = []
-    for name in names:
-        raw = cur.take(4 * n_vertices, f"{name} values")
-        rows.append(np.frombuffer(raw, dtype="<f4").astype(np.float64))
+    rows = [cur.array("<f4", (n_vertices,), f"{name} values") for name in names]
     cur.done()
     return np.stack(rows) if rows else np.zeros((0, n_vertices)), tuple(names)
 
@@ -381,17 +372,25 @@ def save_manifest(manifest, path):
 
 
 def load_manifest(path, check_files=True):
-    """Load a manifest; ids must be unique and referenced files present."""
-    with open(path) as fp:
-        try:
-            doc = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"manifest is not valid JSON: {exc.msg}", offset=exc.pos,
-                path=str(path),
-            ) from None
+    """Load a manifest; ids must be unique and referenced files present.
+
+    The file must be UTF-8 JSON; a decoding or JSON error is a ParseError
+    at its byte offset, and an error in the document's fields one at
+    offset 0.
+    """
+    cur = Cursor(path)
+    try:
+        text = cur.data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise cur.error(f"manifest is not UTF-8 text ({exc.reason})",
+                        exc.start) from None
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise cur.error(f"manifest is not valid JSON: {exc.msg}",
+                        len(text[: exc.pos].encode("utf-8"))) from None
     if not isinstance(doc, dict) or doc.get("format") != "smmn-manifest":
-        raise ParseError("not a dataset manifest", offset=0, path=str(path))
+        raise cur.error("not a dataset manifest", 0)
 
     def field(obj, key, kinds, where, optional=False):
         """``obj[key]`` checked against ``kinds``; None if optional and null."""
@@ -400,8 +399,8 @@ def load_manifest(path, check_files=True):
             return None
         if (isinstance(value, bool) or not isinstance(value, kinds)
                 or isinstance(value, float) and not math.isfinite(value)):
-            raise ParseError(f"{where}: {key!r} is missing, of the wrong type "
-                             "or not finite", path=str(path))
+            raise cur.error(f"{where}: {key!r} is missing, of the wrong type "
+                            "or not finite", 0)
         return value
 
     root = os.path.dirname(os.path.abspath(path))
@@ -411,12 +410,11 @@ def load_manifest(path, check_files=True):
         where = f"subject {i}"
         sid = field(entry, "id", str, where)
         if sid in seen:
-            raise ParseError(f"duplicate subject id {sid!r}", offset=0, path=str(path))
+            raise cur.error(f"duplicate subject id {sid!r}", 0)
         seen.add(sid)
         files = field(entry, "files", dict, where)
         if not all(isinstance(v, str) for v in files.values()):
-            raise ParseError(f"{where}: 'files' must map channels to paths",
-                             path=str(path))
+            raise cur.error(f"{where}: 'files' must map channels to paths", 0)
         age, sex = (float(field(entry, k, (int, float), where)) for k in ("age", "sex"))
         subjects.append(
             SubjectEntry(
@@ -431,7 +429,7 @@ def load_manifest(path, check_files=True):
         )
     channel_names = field(doc, "channel_names", list, "manifest")
     if not all(isinstance(c, str) for c in channel_names):
-        raise ParseError("manifest: 'channel_names' must be strings", path=str(path))
+        raise cur.error("manifest: 'channel_names' must be strings", 0)
     manifest = DatasetManifest(
         subjects=subjects,
         channel_names=tuple(channel_names),
@@ -445,11 +443,10 @@ def load_manifest(path, check_files=True):
             for channel, rel in s.files.items():
                 full = manifest.resolve(rel)
                 if not os.path.exists(full):
-                    raise ParseError(
+                    raise cur.error(
                         f"subject {s.subject_id!r} channel {channel!r} file "
                         f"missing: {full}",
-                        offset=0,
-                        path=str(path),
+                        0,
                     )
     return manifest
 
@@ -499,11 +496,4 @@ def qc_filter(manifest, threshold=25.0):
         for s in manifest.subjects
         if s.euler is None or abs(s.euler - median) <= threshold
     ]
-    return DatasetManifest(
-        subjects=kept,
-        channel_names=manifest.channel_names,
-        seed=manifest.seed,
-        atlas=manifest.atlas,
-        label_table=manifest.label_table,
-        root=manifest.root,
-    )
+    return replace(manifest, subjects=kept)

@@ -316,24 +316,6 @@ class VertexClustering:
         return row[row >= 0]
 
 
-def _nearest_with_ties(points, targets):
-    """Index of the nearest target per point; ties go to the lowest index."""
-    tree = cKDTree(targets)
-    k = min(4, len(targets))
-    dist, idx = tree.query(points, k=k)
-    dist = np.atleast_2d(dist)
-    idx = np.atleast_2d(idx)
-    tol = 1e-12
-    tied = dist <= dist[:, :1] + tol
-    # If the whole candidate row ties we may be missing candidates; widen.
-    unresolved = np.where(tied.all(axis=1) & (k < len(targets)))[0]
-    best = np.where(tied, idx, len(targets)).min(axis=1)
-    for i in unresolved:
-        d_all = np.linalg.norm(targets - points[i], axis=1)
-        best[i] = int(np.flatnonzero(d_all <= d_all.min() + tol).min())
-    return best
-
-
 def cluster_to_coarse(coarse):
     """Parent of each vertex of ``subdivide(coarse)`` among the coarse vertices.
 

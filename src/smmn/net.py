@@ -39,16 +39,16 @@ import numpy as np
 from . import conv
 from .conv import FeatureMap
 from .errors import (
-    ConfigurationError, DomainError, ParseError, ShapeError, UsageError,
+    ConfigurationError, DomainError, ShapeError, UsageError,
 )
-from .io import _Cursor
+from .io import CONTAINER_MAGIC, Cursor
 from .mesh import MAX_ICOSPHERE_ORDER, build_hierarchy
 from .spharm import num_coefficients
 
-CHECKPOINT_MAGIC = b"SMMN"
 CHECKPOINT_KIND = 0x01
 CHECKPOINT_VERSION = 1
 _STD_SLOTS = {"norm_std": slice(None), "ctx_stats": slice(1, 2)}
+CONTEXT_DIM = 2  # width of ContextVector.raw(): age and sex
 
 
 @dataclass
@@ -100,7 +100,7 @@ class ModelConfig:
     channels: tuple = (16, 32)
     in_channels: int = 1
     l_max: int = 3
-    ctx_dim: int = 2
+    ctx_dim: int = CONTEXT_DIM
     channel_names: tuple = ("thickness",)
     seed: int = 0
 
@@ -111,8 +111,7 @@ class ModelConfig:
             raise ConfigurationError("need at least one encoder level")
         for name, value, low in [
             ("input_order", self.input_order, 0), ("in_channels", self.in_channels, 1),
-            ("l_max", self.l_max, 0), ("ctx_dim", self.ctx_dim, 0),
-            ("seed", self.seed, 0),
+            ("l_max", self.l_max, 0), ("seed", self.seed, 0),
         ] + [("channels", width, 1) for width in self.channels]:
             if type(value) is not int or value < low:  # bools are not ints here
                 raise ConfigurationError(
@@ -125,6 +124,9 @@ class ModelConfig:
             )
         if len(self.channel_names) != self.in_channels:
             raise ConfigurationError("channel_names must match in_channels")
+        if type(self.ctx_dim) is not int or self.ctx_dim != CONTEXT_DIM:
+            raise ConfigurationError(f"ctx_dim must be {CONTEXT_DIM}, the width of "
+                                     f"the context vector, got {self.ctx_dim!r}")
 
     @property
     def bottleneck_order(self):
@@ -624,7 +626,7 @@ def save_model(model, path):
         ("ctx_stats", model.ctx_stats),
     ]
     with open(path, "wb") as fp:
-        fp.write(CHECKPOINT_MAGIC)
+        fp.write(CONTAINER_MAGIC)
         fp.write(struct.pack("<BB", CHECKPOINT_KIND, CHECKPOINT_VERSION))
         fp.write(struct.pack("<I", len(blob)))
         fp.write(blob)
@@ -642,17 +644,8 @@ def load_model(path):
     Every stored array is checked against the shapes the config declares
     before the model (mesh hierarchy, parameters) is built.
     """
-    with open(path, "rb") as fp:
-        cur = _Cursor(fp.read(), str(path))
-    if cur.take(4, "magic") != CHECKPOINT_MAGIC:
-        raise ParseError("bad checkpoint magic", offset=0, path=str(path))
-    kind, version = cur.unpack("<BB", "kind/version")
-    if kind != CHECKPOINT_KIND:
-        raise ParseError(f"not a model checkpoint (kind {kind})", offset=4,
-                         path=str(path))
-    if version != CHECKPOINT_VERSION:
-        raise ParseError(f"unsupported checkpoint version {version}", offset=5,
-                         path=str(path))
+    cur = Cursor(path)
+    cur.header(CHECKPOINT_KIND, CHECKPOINT_VERSION, "model checkpoint")
     (blob_len,) = cur.unpack("<I", "config length")
     blob = cur.take(blob_len, "config block")
     try:
@@ -664,16 +657,15 @@ def load_model(path):
     except (TypeError, ValueError) as exc:
         # ValueError covers bad UTF-8, bad JSON, the key set and
         # ConfigurationError; TypeError a value of the wrong JSON type.
-        raise ParseError(f"bad config block: {exc!r}", offset=10,
-                         path=str(path)) from None
+        raise cur.error(f"bad config block: {exc!r}", 10) from None
     expected = cfg.param_shapes()
     expected.update(norm_mean=(cfg.in_channels,), norm_std=(cfg.in_channels,),
                     ctx_stats=(2,))
     (n_arrays,) = cur.unpack("<I", "array count")
     if n_arrays != len(expected):
-        raise ParseError(
+        raise cur.error(
             f"checkpoint stores {n_arrays} arrays, model declares {len(expected)}",
-            offset=cur.offset - 4, path=str(path),
+            cur.offset - 4,
         )
     arrays = {}
     for name in expected:
@@ -681,20 +673,15 @@ def load_model(path):
         (ndim,) = cur.unpack("<B", f"{name} ndim")
         shape = cur.unpack(f"<{ndim}q", f"{name} shape")
         if shape != expected[name]:
-            raise ParseError(
-                f"array {name} has shape {shape}, expected {expected[name]}",
-                offset=start, path=str(path),
+            raise cur.error(
+                f"array {name} has shape {shape}, expected {expected[name]}", start
             )
-        arr = np.frombuffer(
-            cur.take(8 * math.prod(shape), f"{name} data"), dtype="<f8"
-        ).reshape(shape).astype(np.float64)
+        arr = cur.array("<f8", shape, f"{name} data")
         if not np.all(np.isfinite(arr)):
-            raise ParseError(f"array {name} holds a non-finite value",
-                             offset=start, path=str(path))
+            raise cur.error(f"array {name} holds a non-finite value", start)
         # norm_std and the age std (ctx_stats[1]) divide the inputs.
         if name in _STD_SLOTS and np.any(arr[_STD_SLOTS[name]] <= 0.0):
-            raise ParseError(f"array {name} holds a standard deviation <= 0",
-                             offset=start, path=str(path))
+            raise cur.error(f"array {name} holds a standard deviation <= 0", start)
         arrays[name] = arr
     cur.done()
     model = MMNModel(cfg)

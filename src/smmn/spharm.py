@@ -106,7 +106,8 @@ def sh_eval(l, m, theta, phi, branch="cos"):
     """Real orthonormal spherical harmonic of degree l, order m >= 0.
 
     ``branch`` selects the cos(m phi) or sin(m phi) family; m = 0 only
-    exists in the cos family.
+    exists in the cos family.  The value is the ``a_lm`` (cos) or
+    ``b_lm`` (sin) column of :func:`filter_basis` at degree ``l``.
     """
     if m < 0 or m > l or l < 0:
         raise DomainError(f"invalid degree/order (l={l}, m={m})")
@@ -114,14 +115,8 @@ def sh_eval(l, m, theta, phi, branch="cos"):
         raise DomainError(f"unknown branch {branch!r}")
     if branch == "sin" and m == 0:
         raise DomainError("sin branch requires m >= 1")
-    theta = np.asarray(theta, dtype=np.float64)
-    phi = np.asarray(phi, dtype=np.float64)
-    p = assoc_legendre(l, m, np.cos(theta))
-    if branch == "cos":
-        ang = np.cos(m * phi)
-    else:
-        ang = np.sin(m * phi)
-    return _norm_const(l, m) * p * ang
+    kind = "a" if branch == "cos" else "b"
+    return np.take(filter_basis(l, theta, phi), basis_index(l, m, kind), axis=-1)
 
 
 def filter_basis(l_max, theta, phi):

@@ -16,6 +16,7 @@ import math
 import os
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import ConfigurationError
 from .io import (
@@ -26,7 +27,7 @@ from .io import (
     write_label_table,
     write_subject_features,
 )
-from .mesh import AtlasLabels, _nearest_with_ties, icosphere, sphere_angles
+from .mesh import AtlasLabels, icosphere, sphere_angles
 from .spharm import filter_basis
 
 
@@ -79,14 +80,15 @@ def synthetic_atlas(mesh, n_rois=34, hemisphere="left"):
 
     Seeds are the mesh's first ``n_rois + 1`` vertices (well spread on an
     icosphere); the patch around seed 0 is labeled 0 (unknown / medial
-    wall), the rest get ids 1..n_rois.
+    wall), the rest get ids 1..n_rois.  A vertex whose distances to
+    several seeds are within 1e-12 of its nearest goes to the first.
     """
     if n_rois + 1 > mesh.num_vertices:
         raise ConfigurationError(
             f"cannot carve {n_rois} ROIs out of {mesh.num_vertices} vertices"
         )
-    seeds = mesh.vertices[: n_rois + 1]
-    labels = _nearest_with_ties(mesh.vertices, seeds)
+    dist = cdist(mesh.vertices, mesh.vertices[: n_rois + 1])
+    labels = np.argmax(dist <= dist.min(axis=1, keepdims=True) + 1e-12, axis=1)
     names = {i: f"parcel_{i:02d}" for i in range(1, n_rois + 1)}
     return AtlasLabels(labels=labels, names=names, hemisphere=hemisphere)
 

@@ -122,6 +122,46 @@ def test_resample_atlas_with_non_utf8_byte_exits_2(tmp_path, capsys):
     assert "byte offset 26" in err
 
 
+def test_train_manifest_with_non_utf8_byte_exits_2(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    io.save_manifest(io.DatasetManifest(subjects=[], channel_names=("thickness",)),
+                     manifest)
+    raw = manifest.read_bytes()
+    at = raw.index(b"thickness")
+    manifest.write_bytes(raw[:at] + b"\xff" + raw[at + 1 :])
+    (tmp_path / "train.cfg").write_text("order = 1\nchannels = 2\nepochs = 1\n")
+    err = _exit_2_without_traceback(
+        capsys, "train", "--manifest", str(manifest), "--config",
+        str(tmp_path / "train.cfg"), "--out", str(tmp_path / "run"),
+    )
+    assert str(manifest) in err and f"byte offset {at}" in err
+
+
+def test_stats_on_score_table_with_stray_carriage_return_exits_2(tmp_path, capsys):
+    header = ",".join(anomaly.REPORT_COLUMNS) + "\n"
+    table = tmp_path / "scores.csv"
+    table.write_text(header + "s0,left,thickness,3,roi\r_3,12,0.5\n", newline="")
+    err = _exit_2_without_traceback(
+        capsys, "stats", "--group-a", str(table), "--group-b", str(table),
+        "--out", str(tmp_path / "out"),
+    )
+    assert "line 2" in err and f"byte offset {len(header)}" in err
+
+
+def test_resample_values_with_nan_exits_2(tmp_path, capsys):
+    surf = tmp_path / "ico1.surf"
+    assert run("icosphere", "--order", "1", "--out", str(surf)) == 0
+    values = np.ones(42)
+    values[5] = np.nan
+    io.write_fs_curv(tmp_path / "src.curv", values)
+    err = _exit_2_without_traceback(
+        capsys, "resample", "--surface", str(surf), "--order", "2",
+        "--values", str(tmp_path / "src.curv"), "--out", str(tmp_path / "dst.curv"),
+    )
+    assert "byte offset 35" in err  # 15-byte header + 5 float32 values
+    assert not (tmp_path / "dst.curv").exists()
+
+
 def test_config_with_non_utf8_byte_exits_2(tmp_path, capsys):
     cfg = tmp_path / "synth.cfg"
     cfg.write_bytes(b"order = 1\nseed = \xff\n")

@@ -2,15 +2,16 @@ import functools
 import json
 import math
 import os
+import pathlib
 import struct
 import tempfile
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from smmn import io, mesh, net, synth
+from smmn import anomaly, io, mesh, net, synth
 from smmn.errors import ConfigurationError, DomainError, ParseError, UsageError
 
 TETRA_VERTICES = np.array(
@@ -245,6 +246,14 @@ def test_atlas_vertex_out_of_range(tmp_path):
     assert err.value.offset == len("vertex_index,label_id\n")
 
 
+def test_atlas_label_beyond_int64_is_parse_error(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("vertex_index,label_id\n0,1\n1,99999999999999999999\n")
+    with pytest.raises(ParseError) as err:
+        io.read_atlas_csv(path, mesh.icosphere(0))
+    assert err.value.offset == len("vertex_index,label_id\n0,1\n")
+
+
 # -- subject container ---------------------------------------------------------
 
 
@@ -400,9 +409,8 @@ def test_label_table_non_utf8_offset(tmp_path):
 
 
 @functools.lru_cache(maxsize=None)
-def _valid_containers():
-    """Bytes of a small valid checkpoint, subject container, surface and
-    per-vertex scalar file."""
+def _valid_inputs():
+    """Bytes of a small valid file of each of the eight input formats."""
     with tempfile.TemporaryDirectory() as tmp:
         model = net.MMNModel(net.ModelConfig(input_order=1, channels=(2,), l_max=1,
                                              channel_names=("x",), seed=5))
@@ -417,8 +425,23 @@ def _valid_containers():
         io.write_fs_surface(surface, mesh.icosphere(1))
         curv = os.path.join(tmp, "lh.thickness")
         io.write_fs_curv(curv, np.linspace(1.0, 4.0, 42), n_facets=80)
+        manifest = os.path.join(tmp, "manifest.json")
+        io.save_manifest(_manifest(pathlib.Path(tmp), [-10, None]), manifest)
+        atlas = synth.synthetic_atlas(mesh.icosphere(1), n_rois=3)
+        atlas_csv = os.path.join(tmp, "atlas.csv")
+        io.write_atlas_csv(atlas_csv, atlas)
+        labels = os.path.join(tmp, "labels.csv")
+        io.write_label_table(labels, atlas.names)
+        scores = os.path.join(tmp, "scores.csv")
+        anomaly.write_scores_csv(anomaly.ScoreMatrix(
+            subject_ids=["s0", "s1"], hemisphere="left", channel_names=("x",),
+            roi_ids=[1, 2], roi_names={1: "parcel_01", 2: "parcel_02"},
+            scores=np.array([[[0.5], [1.25]], [[-0.75], [2.0]]]),
+            roi_sizes=np.array([14, 9]),
+        ), scores)
         paths = {"checkpoint": ckpt, "subject": subject, "surface": surface,
-                 "curv": curv}
+                 "curv": curv, "manifest": manifest, "atlas": atlas_csv,
+                 "labels": labels, "scores": scores}
         out = {}
         for kind, path in paths.items():
             with open(path, "rb") as fp:
@@ -426,10 +449,17 @@ def _valid_containers():
         return out
 
 
-_READERS = {"checkpoint": net.load_model, "subject": io.read_subject_features,
-            "surface": io.read_fs_surface, "curv": io.read_fs_curv}
+_READERS = {
+    "checkpoint": net.load_model, "subject": io.read_subject_features,
+    "surface": io.read_fs_surface, "curv": io.read_fs_curv,
+    "manifest": functools.partial(io.load_manifest, check_files=False),
+    "atlas": lambda path: io.read_atlas_csv(path, mesh.icosphere(1)),
+    "labels": io.read_label_table, "scores": anomaly.read_scores_csv,
+}
 
 
+@pytest.mark.filterwarnings("ignore:.*duplicate atlas row")
+@settings(max_examples=800)
 @given(
     st.sampled_from(sorted(_READERS)),
     st.sampled_from(["truncate", "flip"]),
@@ -437,14 +467,14 @@ _READERS = {"checkpoint": net.load_model, "subject": io.read_subject_features,
     st.integers(0, 7),
 )
 def test_damaged_container_raises_parse_error_or_loads(kind, damage, where, bit):
-    blob = _valid_containers()[kind]
+    blob = _valid_inputs()[kind]
     at = where % len(blob)
     if damage == "truncate":
         blob = blob[:at]
     else:
         blob = blob[:at] + bytes([blob[at] ^ (1 << bit)]) + blob[at + 1 :]
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "damaged.smmn")
+        path = os.path.join(tmp, "damaged")
         with open(path, "wb") as fp:
             fp.write(blob)
         try:
@@ -457,8 +487,14 @@ def test_damaged_container_raises_parse_error_or_loads(kind, damage, where, bit)
 def test_manifest_invalid_json(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text("{broken")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         io.load_manifest(path)
+    assert err.value.offset == 1
+    # The offset counts bytes, not characters: the e-acute takes two.
+    path.write_bytes('{"\u00e9": broken'.encode("utf-8"))
+    with pytest.raises(ParseError) as err:
+        io.load_manifest(path)
+    assert err.value.offset == 7
 
 
 # -- QC filter --------------------------------------------------------------------

@@ -543,6 +543,8 @@ def _config_doc(**edits):
     _config_doc(l_max=-1),
     _config_doc(channels=[0]),
     _config_doc(ctx_dim=-1),
+    _config_doc(ctx_dim=3),
+    _config_doc(ctx_dim=0),
     _config_doc(seed=-1),
     _config_doc(input_order=9),
     _config_doc(l_max=True),
