@@ -248,56 +248,74 @@ def write_scores_json(matrix, path):
 def read_scores_csv(path):
     """Rebuild a :class:`ScoreMatrix` from :func:`write_scores_csv` output.
 
-    A row the csv module rejects, or a bad value in one, is a ParseError
-    at the byte offset of the line it was read from.
+    The table must be the full subject x channel x ROI grid of one
+    hemisphere.  A row the csv module rejects, a row of the wrong width,
+    a bad value, a second hemisphere, a repeated (subject, channel,
+    roi_id) cell, or a roi_name or n_vertices that differs from the
+    first row of its roi_id is a ParseError at the byte offset of its
+    line; a missing cell is one at offset 0.
     """
     cur = Cursor(path)
     lines = cur.lines()
-    reader = csv.DictReader([line for _, line in lines])
-    rows = []
+    reader = csv.reader([line for _, line in lines])
+    hemisphere = None
+    rois = {}  # roi_id -> (roi_name, n_vertices, line) of its first row
+    cells = {}  # (subject_id, channel, roi_id) -> score
     try:
-        if reader.fieldnames is None or tuple(reader.fieldnames) != REPORT_COLUMNS:
-            raise cur.error(f"unexpected score table header {reader.fieldnames}", 0)
-        for row in reader:
+        header = next(reader, None)
+        if header is None or tuple(header) != REPORT_COLUMNS:
+            raise cur.error(f"unexpected score table header {header}", 0)
+        for fields in reader:
+            line = reader.line_num
+            offset = lines[line - 1][0]
+            if len(fields) != len(REPORT_COLUMNS):
+                raise cur.error(f"line {line}: {len(fields)} fields, expected "
+                                f"{len(REPORT_COLUMNS)}", offset)
+            sid, hemi, channel, roi_id, roi_name, n_vertices, score = fields
             try:
-                row["roi_id"] = int(row["roi_id"])
-                row["n_vertices"] = int(row["n_vertices"])
-                row["score"] = float(row["score"])
-                if not math.isfinite(row["score"]):
+                roi_id, n_vertices, score = int(roi_id), int(n_vertices), float(score)
+                if not math.isfinite(score):
                     raise ValueError("non-finite score")
-            except (TypeError, ValueError):
+            except ValueError:
+                raise cur.error(f"line {line}: bad roi_id, n_vertices or score",
+                                offset) from None
+            if hemisphere is None:
+                hemisphere = hemi
+            elif hemi != hemisphere:
+                raise cur.error(f"line {line}: hemisphere {hemi!r} in a "
+                                f"{hemisphere!r} table", offset)
+            first = rois.setdefault(roi_id, (roi_name, n_vertices, line))
+            if first[:2] != (roi_name, n_vertices):
                 raise cur.error(
-                    f"line {reader.line_num}: bad roi_id, n_vertices or score",
-                    lines[reader.line_num - 1][0],
-                ) from None
-            rows.append(row)
+                    f"line {line}: roi_id {roi_id} is {roi_name!r} with "
+                    f"{n_vertices} vertices, but {first[0]!r} with {first[1]} "
+                    f"on line {first[2]}", offset)
+            if (sid, channel, roi_id) in cells:
+                raise cur.error(f"line {line}: second row for subject {sid!r}, "
+                                f"channel {channel!r}, roi_id {roi_id}", offset)
+            cells[sid, channel, roi_id] = score
     except csv.Error as exc:
-        # DictReader.line_num is set only once a row parses; its reader's
-        # counts the line that failed.
-        line_num = reader.reader.line_num
-        raise cur.error(f"line {line_num}: {exc}", lines[line_num - 1][0]) from None
-    if not rows:
+        line = reader.line_num
+        raise cur.error(f"line {line}: {exc}", lines[line - 1][0]) from None
+    if not cells:
         raise cur.error("score table has no rows", 0)
-    subject_ids = list(dict.fromkeys(r["subject_id"] for r in rows))
-    channels = tuple(dict.fromkeys(r["channel"] for r in rows))
-    roi_ids = list(dict.fromkeys(r["roi_id"] for r in rows))
-    roi_names = {r["roi_id"]: r["roi_name"] for r in rows}
-    roi_sizes = {r["roi_id"]: r["n_vertices"] for r in rows}
-    hemisphere = rows[0]["hemisphere"]
-    scores = np.zeros((len(subject_ids), len(roi_ids), len(channels)))
-    s_idx = {s: i for i, s in enumerate(subject_ids)}
-    c_idx = {c: i for i, c in enumerate(channels)}
-    r_idx = {r: i for i, r in enumerate(roi_ids)}
-    for row in rows:
-        scores[
-            s_idx[row["subject_id"]], r_idx[row["roi_id"]], c_idx[row["channel"]]
-        ] = row["score"]
+    subject_ids = list(dict.fromkeys(sid for sid, _, _ in cells))
+    channels = tuple(dict.fromkeys(channel for _, channel, _ in cells))
+    roi_ids = list(rois)
+    scores = np.empty((len(subject_ids), len(roi_ids), len(channels)))
+    for s, sid in enumerate(subject_ids):
+        for c, channel in enumerate(channels):
+            for r, rid in enumerate(roi_ids):
+                if (sid, channel, rid) not in cells:
+                    raise cur.error(f"no row for subject {sid!r}, channel "
+                                    f"{channel!r}, roi_id {rid}", 0)
+                scores[s, r, c] = cells[sid, channel, rid]
     return ScoreMatrix(
         subject_ids=subject_ids,
         hemisphere=hemisphere,
         channel_names=channels,
         roi_ids=roi_ids,
-        roi_names=roi_names,
+        roi_names={rid: rois[rid][0] for rid in roi_ids},
         scores=scores,
-        roi_sizes=np.array([roi_sizes[r] for r in roi_ids]),
+        roi_sizes=np.array([rois[rid][1] for rid in roi_ids]),
     )

@@ -1,5 +1,5 @@
 """Command-line surface: mesh emission, resampling, synthesis, training,
-detection, statistics, and report emission.
+detection and group statistics.
 
 Exit codes: 0 on success, 1 on usage/configuration errors, 2 on data or
 parse errors.  Config files are flat ``key = value`` text; see README
@@ -7,6 +7,7 @@ for the documented keys.
 """
 
 import argparse
+from dataclasses import replace
 import csv
 import json
 import os
@@ -104,7 +105,6 @@ def _build_parser():
     p.add_argument("--out", help="output scalar file")
     p.add_argument("--atlas", help="source atlas CSV to resample")
     p.add_argument("--atlas-out", help="output atlas CSV")
-    p.add_argument("--hemisphere", default="left", choices=("left", "right"))
     p.set_defaults(func=_cmd_resample)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
@@ -131,21 +131,14 @@ def _build_parser():
                    help="score in raw feature units instead of z-space")
     p.set_defaults(func=_cmd_detect)
 
-    p = sub.add_parser("stats", help="group comparison of two score tables")
-    p.add_argument("--group-a", required=True, help="scores CSV of group A")
-    p.add_argument("--group-b", required=True, help="scores CSV of group B")
+    p = sub.add_parser("stats", help="two-group comparison of anomaly scores")
+    p.add_argument("--scores", help="scores CSV of both groups")
+    p.add_argument("--manifest", help="manifest giving each scored subject's group")
+    p.add_argument("--group-a", help="scores CSV of group A (instead of the two above)")
+    p.add_argument("--group-b", help="scores CSV of group B")
     p.add_argument("--out", required=True)
     p.add_argument("--alpha", type=float, default=0.05)
     p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("report", help="re-emit results as JSON / SVG")
-    p.add_argument("--scores", action="append", default=[],
-                   help="scores CSV to mirror as JSON (repeatable)")
-    p.add_argument("--group-a", help="scores CSV for the effect-size chart")
-    p.add_argument("--group-b")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_report)
     return parser
 
 
@@ -176,7 +169,7 @@ def _cmd_resample(args):
     if args.atlas:
         if not args.atlas_out:
             raise UsageError("--atlas requires --atlas-out")
-        labels = io.read_atlas_csv(args.atlas, src, hemisphere=args.hemisphere)
+        labels = io.read_atlas_csv(args.atlas, src)
         io.write_atlas_csv(args.atlas_out, resample_labels(src, labels, dst))
         print(f"wrote resampled atlas to {args.atlas_out}")
         did = True
@@ -315,15 +308,35 @@ def _cmd_detect(args):
     return 0
 
 
-def _group_report(args):
-    """Effect report of the --group-a / --group-b score tables."""
-    return stats.effect_report(anomaly.read_scores_csv(args.group_a),
-                               anomaly.read_scores_csv(args.group_b),
-                               alpha=args.alpha)
-
-
 def _cmd_stats(args):
-    report = _group_report(args)
+    """Group A against group B: the two tables of --group-a / --group-b,
+    or the rows of --scores split by the --manifest ``group`` of each
+    subject, row order kept, group A the first group name in sorted order.
+    """
+    if args.group_a and args.group_b and not (args.scores or args.manifest):
+        groups = [anomaly.read_scores_csv(args.group_a),
+                  anomaly.read_scores_csv(args.group_b)]
+    elif args.scores and args.manifest and not (args.group_a or args.group_b):
+        matrix = anomaly.read_scores_csv(args.scores)
+        manifest = io.load_manifest(args.manifest, check_files=False)
+        group_of = {entry.subject_id: entry.group for entry in manifest.subjects}
+        for sid in matrix.subject_ids:
+            if sid not in group_of:
+                raise ShapeError(f"{args.scores}: subject {sid!r} is not in "
+                                 f"{args.manifest}")
+        names = sorted({group_of[sid] for sid in matrix.subject_ids})
+        if len(names) != 2:
+            raise ShapeError(f"{args.manifest}: the scored subjects fall into "
+                             f"groups {names}, not two")
+        groups = []
+        for name in names:
+            rows = [i for i, sid in enumerate(matrix.subject_ids)
+                    if group_of[sid] == name]
+            groups.append(replace(matrix, scores=matrix.scores[rows],
+                                  subject_ids=[matrix.subject_ids[i] for i in rows]))
+    else:
+        raise UsageError("pass --scores with --manifest, or --group-a with --group-b")
+    report = stats.effect_report(*groups, alpha=args.alpha)
     os.makedirs(args.out, exist_ok=True)
     stats.write_stats_csv(report, os.path.join(args.out, "stats.csv"))
     filtered = stats.EffectReport(
@@ -333,27 +346,6 @@ def _cmd_stats(args):
     stats.write_eta2_svg(report, os.path.join(args.out, "eta2.svg"))
     print(f"{len(report.significant)} of {len(report.rows)} tests significant "
           f"at q < {args.alpha:g} -> {args.out}/stats.csv")
-    return 0
-
-
-def _cmd_report(args):
-    os.makedirs(args.out, exist_ok=True)
-    wrote = []
-    for path in args.scores:
-        matrix = anomaly.read_scores_csv(path)
-        base = os.path.splitext(os.path.basename(path))[0]
-        out = os.path.join(args.out, base + ".json")
-        anomaly.write_scores_json(matrix, out)
-        wrote.append(out)
-    if args.group_a or args.group_b:
-        if not (args.group_a and args.group_b):
-            raise UsageError("--group-a and --group-b must be given together")
-        out = os.path.join(args.out, "eta2.svg")
-        stats.write_eta2_svg(_group_report(args), out)
-        wrote.append(out)
-    if not wrote:
-        raise UsageError("nothing to emit: pass --scores or --group-a/--group-b")
-    print("wrote " + ", ".join(wrote))
     return 0
 
 

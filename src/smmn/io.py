@@ -205,7 +205,7 @@ def write_fs_surface(path, mesh, comment="created by smmn", radius=1.0):
 # Atlas CSV (vertex_index,label_id) with optional label-table sidecar.
 
 
-def read_atlas_csv(path, mesh, label_table=None, hemisphere="left"):
+def read_atlas_csv(path, mesh, label_table=None):
     """Per-vertex ROI labels; unlisted vertices default to 0 (unknown).
 
     Duplicate vertex rows keep the last value (with a warning); vertex
@@ -238,7 +238,7 @@ def read_atlas_csv(path, mesh, label_table=None, hemisphere="left"):
             labels[v] = lab
             seen[v] = True
     names = dict(label_table) if label_table else {}
-    return AtlasLabels(labels=labels, names=names, hemisphere=hemisphere)
+    return AtlasLabels(labels=labels, names=names)
 
 
 def write_atlas_csv(path, atlas):
@@ -295,8 +295,12 @@ def write_subject_features(path, values, channel_names):
             fp.write(row.astype("<f4").tobytes())
 
 
-def read_subject_features(path):
-    """Returns (values (C, V) as float64, channel_names)."""
+def read_subject_features(path, channel=None):
+    """Returns (values (C, V) as float64, channel_names).
+
+    With ``channel``, a container that does not carry it is a ParseError
+    at offset 6, its channel count.
+    """
     cur = Cursor(path)
     cur.header(SUBJECT_KIND, SUBJECT_VERSION, "subject container")
     (n_channels,) = cur.unpack("<I", "channel count")
@@ -308,6 +312,8 @@ def read_subject_features(path):
             names.append(cur.take(name_len, f"channel {i} name").decode("utf-8"))
         except UnicodeDecodeError:
             raise cur.error(f"channel {i} name is not UTF-8", start) from None
+    if channel is not None and channel not in names:
+        raise cur.error(f"container does not carry channel {channel!r}", 6)
     (n_vertices,) = cur.unpack("<I", "vertex count")
     rows = [cur.array("<f4", (n_vertices,), f"{name} values") for name in names]
     cur.done()
@@ -403,6 +409,9 @@ def load_manifest(path, check_files=True):
                             "or not finite", 0)
         return value
 
+    channel_names = field(doc, "channel_names", list, "manifest")
+    if not all(isinstance(c, str) for c in channel_names):
+        raise cur.error("manifest: 'channel_names' must be strings", 0)
     root = os.path.dirname(os.path.abspath(path))
     subjects = []
     seen = set()
@@ -415,6 +424,10 @@ def load_manifest(path, check_files=True):
         files = field(entry, "files", dict, where)
         if not all(isinstance(v, str) for v in files.values()):
             raise cur.error(f"{where}: 'files' must map channels to paths", 0)
+        for channel in channel_names:
+            if channel not in files:
+                raise cur.error(f"subject {sid!r}: 'files' has no path for "
+                                f"channel {channel!r}", 0)
         age, sex = (float(field(entry, k, (int, float), where)) for k in ("age", "sex"))
         subjects.append(
             SubjectEntry(
@@ -427,9 +440,6 @@ def load_manifest(path, check_files=True):
                 split=field(entry, "split", str, where, optional=True) or "test",
             )
         )
-    channel_names = field(doc, "channel_names", list, "manifest")
-    if not all(isinstance(c, str) for c in channel_names):
-        raise cur.error("manifest: 'channel_names' must be strings", 0)
     manifest = DatasetManifest(
         subjects=subjects,
         channel_names=tuple(channel_names),
@@ -454,20 +464,15 @@ def load_manifest(path, check_files=True):
 def load_subject_features(manifest, entry):
     """Stack one subject's per-channel files in manifest channel order.
 
-    A non-finite value raises :class:`DomainError` naming the subject
-    and channel.
+    :func:`load_manifest` has checked that ``entry.files`` names every
+    channel; a file that does not carry its channel is a ParseError, and
+    a non-finite value a :class:`DomainError` naming the subject and
+    channel.
     """
     rows = []
     for channel in manifest.channel_names:
-        if channel not in entry.files:
-            raise UsageError(
-                f"subject {entry.subject_id!r} has no file for channel {channel!r}"
-            )
-        values, names = read_subject_features(manifest.resolve(entry.files[channel]))
-        if channel not in names:
-            raise UsageError(
-                f"file {entry.files[channel]!r} does not carry channel {channel!r}"
-            )
+        values, names = read_subject_features(
+            manifest.resolve(entry.files[channel]), channel)
         row = values[names.index(channel)]
         if not np.all(np.isfinite(row)):
             raise DomainError(

@@ -254,3 +254,19 @@ def test_read_scores_csv_bad_value_is_parse_error(tmp_path, column, value):
         anomaly.read_scores_csv(path)
     assert err.value.offset == len(lines[0]) + len(lines[1]) + 2
     assert err.value.path == str(path)
+
+
+def test_read_scores_csv_rows_in_any_order(tmp_path):
+    header = ",".join(anomaly.REPORT_COLUMNS) + "\n"
+    rows = [f"s{s},right,{c},{r},roi_{r},{r + 4},{s + r / 10}\n"
+            for s in range(2) for c in ("thickness", "area") for r in (7, 3)]
+    path = tmp_path / "scores.csv"
+    path.write_text(header + "".join(reversed(rows)))
+    loaded = anomaly.read_scores_csv(path)
+    assert loaded.subject_ids == ["s1", "s0"]
+    assert loaded.channel_names == ("area", "thickness")
+    assert loaded.roi_ids == [3, 7]
+    assert loaded.hemisphere == "right"
+    assert loaded.roi_names == {3: "roi_3", 7: "roi_7"}
+    np.testing.assert_array_equal(loaded.roi_sizes, [7, 11])
+    np.testing.assert_array_equal(loaded.scores[:, :, 0], [[1.3, 1.7], [0.3, 0.7]])

@@ -1,5 +1,7 @@
+import argparse
+import importlib.util
 import json
-import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +110,171 @@ def test_stats_on_score_table_with_bad_roi_id_exits_2(tmp_path, capsys):
         "--out", str(tmp_path / "out"),
     )
     assert "line 2" in err and "byte offset" in err
+
+
+def _grid_lines(n_subjects=3, n_rois=2):
+    """Header and rows of a complete one-channel left-hemisphere table."""
+    return [",".join(anomaly.REPORT_COLUMNS) + "\n"] + [
+        f"s{s},left,thickness,{r},roi_{r},12,{s + r / 10}\n"
+        for s in range(n_subjects) for r in range(1, n_rois + 1)
+    ]
+
+
+def _with_extra_field(lines):
+    lines[3] = lines[3].rstrip("\n") + ",0.9\n"
+
+
+def _with_right_hemisphere(lines):
+    lines[3] = lines[3].replace("left", "right")
+
+
+def _with_second_row_for_a_cell(lines):
+    lines[3] = lines[1]
+
+
+def _with_other_roi_name(lines):
+    lines[3] = lines[3].replace("roi_1", "roi_one")
+
+
+def _with_other_roi_size(lines):
+    lines[3] = lines[3].replace(",12,", ",13,")
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_with_extra_field, "8 fields"),
+    (_with_right_hemisphere, "'right'"),
+    (_with_second_row_for_a_cell, "second row"),
+    (_with_other_roi_name, "'roi_one'"),
+    (_with_other_roi_size, "13 vertices"),
+])
+def test_stats_on_score_table_with_bad_row_exits_2(tmp_path, capsys, edit, named):
+    lines = _grid_lines()
+    edit(lines)
+    table = tmp_path / "scores.csv"
+    table.write_text("".join(lines))
+    err = _exit_2_without_traceback(
+        capsys, "stats", "--group-a", str(table), "--group-b", str(table),
+        "--out", str(tmp_path / "out"),
+    )
+    assert named in err and "line 4" in err
+    assert f"byte offset {len(''.join(lines[:3]))})" in err
+
+
+def test_stats_on_score_table_with_missing_cell_exits_2(tmp_path, capsys):
+    lines = _grid_lines()
+    del lines[4]  # subject s1, ROI 2
+    table = tmp_path / "scores.csv"
+    table.write_text("".join(lines))
+    err = _exit_2_without_traceback(
+        capsys, "stats", "--group-a", str(table), "--group-b", str(table),
+        "--out", str(tmp_path / "out"),
+    )
+    assert "subject 's1'" in err and "roi_id 2" in err and "byte offset 0)" in err
+    assert not (tmp_path / "out").exists()
+
+
+def _group_manifest(path, groups):
+    """A manifest that gives each subject id of ``groups`` its group."""
+    subjects = [
+        io.SubjectEntry(subject_id=sid, files={"thickness": f"{sid}.smmn"},
+                        age=60.0, sex=1.0, group=group)
+        for sid, group in groups.items()
+    ]
+    io.save_manifest(io.DatasetManifest(subjects=subjects,
+                                        channel_names=("thickness",)), path)
+
+
+@pytest.mark.parametrize("groups, named", [
+    ({"s0": "control", "s1": "patient"}, "subject 's2' is not in"),
+    ({"s0": "control", "s1": "control", "s2": "control"}, "['control']"),
+    ({"s0": "control", "s1": "patient", "s2": "sibling"},
+     "['control', 'patient', 'sibling']"),
+])
+def test_stats_groups_from_manifest_not_two_exits_2(tmp_path, capsys, groups, named):
+    table = tmp_path / "scores.csv"
+    table.write_text("".join(_grid_lines()))
+    _group_manifest(tmp_path / "manifest.json", groups)
+    err = _exit_2_without_traceback(
+        capsys, "stats", "--scores", str(table),
+        "--manifest", str(tmp_path / "manifest.json"), "--out", str(tmp_path / "out"),
+    )
+    assert named in err
+
+
+def test_stats_group_a_is_first_group_name_in_sorted_order(tmp_path):
+    table = tmp_path / "scores.csv"
+    table.write_text("".join(_grid_lines(n_subjects=5)))
+    _group_manifest(tmp_path / "manifest.json", {
+        "s0": "patient", "s1": "control", "s2": "patient", "s3": "control",
+        "s4": "control",
+    })
+    assert run("stats", "--scores", str(table), "--manifest",
+               str(tmp_path / "manifest.json"), "--out", str(tmp_path / "out")) == 0
+    rows = (tmp_path / "out" / "stats.csv").read_text().splitlines()
+    assert [row.split(",")[4:6] for row in rows[1:]] == [["3", "2"], ["3", "2"]]
+
+
+def _synth_order_1(tmp_path):
+    (tmp_path / "synth.cfg").write_text(
+        "order = 1\nn_subjects = 4\nn_train = 2\nn_val = 2\nn_rois = 3\nseed = 1\n"
+    )
+    assert run("synth", "--config", str(tmp_path / "synth.cfg"),
+               "--out", str(tmp_path / "ds")) == 0
+    (tmp_path / "train.cfg").write_text("order = 1\nchannels = 2\nepochs = 1\n")
+    return tmp_path / "ds" / "manifest.json"
+
+
+def test_train_manifest_subject_without_channel_file_exits_2(tmp_path, capsys):
+    manifest = _synth_order_1(tmp_path)
+    doc = json.loads(manifest.read_text())
+    doc["subjects"][0]["files"] = {"area": doc["subjects"][0]["files"]["thickness"]}
+    manifest.write_text(json.dumps(doc))
+    err = _exit_2_without_traceback(
+        capsys, "train", "--manifest", str(manifest), "--config",
+        str(tmp_path / "train.cfg"), "--out", str(tmp_path / "run"),
+    )
+    assert str(manifest) in err and "'sub-0'" in err and "'thickness'" in err
+
+
+def test_train_subject_container_without_channel_exits_2(tmp_path, capsys):
+    manifest = _synth_order_1(tmp_path)
+    path = tmp_path / "ds" / io.load_manifest(manifest).subjects[0].files["thickness"]
+    values, _ = io.read_subject_features(path)
+    io.write_subject_features(path, values, ("area",))
+    err = _exit_2_without_traceback(
+        capsys, "train", "--manifest", str(manifest), "--config",
+        str(tmp_path / "train.cfg"), "--out", str(tmp_path / "run"),
+    )
+    assert str(path) in err and "'thickness'" in err and "byte offset 6)" in err
+
+
+@pytest.mark.parametrize("args", [
+    ("report", "--scores", "scores.csv", "--out", "report"),
+    ("resample", "--surface", "s.surf", "--order", "1", "--atlas", "a.csv",
+     "--atlas-out", "b.csv", "--hemisphere", "left"),
+    ("stats", "--scores", "scores.csv", "--manifest", "manifest.json",
+     "--group-a", "a.csv", "--group-b", "b.csv", "--out", "stats"),
+    ("stats", "--out", "stats"),
+    ("stats", "--scores", "scores.csv", "--out", "stats"),
+    ("stats", "--group-a", "a.csv", "--out", "stats"),
+])
+def test_removed_or_mixed_arguments_exit_1(capsys, args):
+    _exit_1_without_traceback(capsys, *args)
+
+
+def test_readme_commands_match_the_parser():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text().replace("\\\n", " ")
+    commands = [line.split("#")[0].split() for line in text.splitlines()
+                if line.startswith("smmn ")]
+    subparsers = next(action for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)).choices
+    assert {words[1] for words in commands} == set(subparsers)
+    for words in commands:
+        options = subparsers[words[1]]._option_string_actions
+        for word in words[2:]:
+            if word.startswith("-"):
+                assert word in options, (words[1], word)
 
 
 def test_resample_atlas_with_non_utf8_byte_exits_2(tmp_path, capsys):
@@ -325,27 +492,9 @@ def pipeline(tmp_path_factory):
     assert run("detect", "--model", str(root / "run" / "model.smmn"),
                "--manifest", str(root / "testset" / "manifest.json"),
                "--out", str(root / "scores")) == 0
-    # split scores by group for the stats step
-    matrix = anomaly.read_scores_csv(root / "scores" / "scores.csv")
-    manifest = io.load_manifest(root / "testset" / "manifest.json")
-    group_of = {s.subject_id: s.group for s in manifest.subjects}
-    import dataclasses
-
-    for name, group in (("ctrl", "control"), ("pat", "patient")):
-        keep = [i for i, s in enumerate(matrix.subject_ids) if group_of[s] == group]
-        sub = dataclasses.replace(
-            matrix,
-            subject_ids=[matrix.subject_ids[i] for i in keep],
-            scores=matrix.scores[keep],
-        )
-        anomaly.write_scores_csv(sub, root / f"{name}.csv")
-    assert run("stats", "--group-a", str(root / "ctrl.csv"),
-               "--group-b", str(root / "pat.csv"),
+    assert run("stats", "--scores", str(root / "scores" / "scores.csv"),
+               "--manifest", str(root / "testset" / "manifest.json"),
                "--out", str(root / "stats")) == 0
-    assert run("report", "--scores", str(root / "ctrl.csv"),
-               "--group-a", str(root / "ctrl.csv"),
-               "--group-b", str(root / "pat.csv"),
-               "--out", str(root / "report")) == 0
     return root
 
 
@@ -359,10 +508,27 @@ def test_pipeline_artifacts_exist(pipeline):
         "stats/stats.csv",
         "stats/significant.csv",
         "stats/eta2.svg",
-        "report/ctrl.json",
-        "report/eta2.svg",
     ):
         assert (pipeline / rel).exists(), rel
+
+
+def test_stats_groups_from_manifest_match_the_bench_split(pipeline, tmp_path):
+    """--scores/--manifest writes what --group-a/--group-b writes on the
+    benchmark's own split of the same table."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    manifest = io.load_manifest(pipeline / "testset" / "manifest.json")
+    workloads.split_by_group(pipeline / "scores" / "scores.csv",
+                             {s.subject_id: s.group for s in manifest.subjects},
+                             tmp_path / "controls.csv", tmp_path / "patients.csv")
+    assert run("stats", "--group-a", str(tmp_path / "controls.csv"),
+               "--group-b", str(tmp_path / "patients.csv"),
+               "--out", str(tmp_path / "stats")) == 0
+    for name in ("stats.csv", "significant.csv", "eta2.svg"):
+        assert (tmp_path / "stats" / name).read_bytes() == (
+            pipeline / "stats" / name).read_bytes(), name
 
 
 def test_pipeline_training_learned(pipeline):

@@ -292,6 +292,15 @@ def test_subject_container_truncation_offset(tmp_path):
     assert err.value.offset is not None
 
 
+def test_subject_container_without_requested_channel(tmp_path):
+    path = tmp_path / "s.smmn"
+    io.write_subject_features(path, np.zeros((2, 5)), ("thickness", "area"))
+    assert io.read_subject_features(path, "area")[1] == ("thickness", "area")
+    with pytest.raises(ParseError, match="'curv'") as err:
+        io.read_subject_features(path, "curv")
+    assert (err.value.path, err.value.offset) == (str(path), 6)
+
+
 # -- manifest -------------------------------------------------------------------
 
 
@@ -365,6 +374,7 @@ def test_manifest_missing_file_rejected(tmp_path):
     lambda d: d.update(atlas=5),
     lambda d: d.update(label_table=True),
     lambda d: d["subjects"][0].update(age=float("inf")),
+    lambda d: d["subjects"][0].update(files={"y": "sub0.smmn"}),
 ])
 def test_manifest_missing_or_ill_typed_field(tmp_path, edit):
     path = tmp_path / "manifest.json"
