@@ -13,7 +13,7 @@ detector subject-adaptive without retraining.  Everything here is
 deterministic: repeated runs give bit-identical reports.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import csv
 import json
 import math
@@ -42,22 +42,21 @@ class SubjectRecord:
 
 
 @dataclass
-class AnomalyReport:
-    """Per-ROI, per-channel anomaly scores for one subject."""
+class ScoreMatrix:
+    """Anomaly scores of one subject or a cohort, one row per subject."""
 
-    subject_id: str
+    subject_ids: list
     hemisphere: str
     channel_names: tuple
     roi_ids: list
     roi_names: dict
-    scores: np.ndarray  # (channels, rois), non-negative
+    scores: np.ndarray  # (subjects, rois, channels), non-negative
     roi_sizes: np.ndarray  # (rois,) masked-vertex counts
+    skipped: list = field(default_factory=list)
 
-    def score(self, roi_id, channel=None):
-        col = self.roi_ids.index(roi_id)
-        if channel is None:
-            return float(self.scores[:, col].sum())
-        return float(self.scores[channel, col])
+    @property
+    def num_subjects(self):
+        return len(self.subject_ids)
 
 
 def _check_subject(model, subject, atlas):
@@ -85,7 +84,8 @@ def roi_residual_scores(residual, roi_vertices):
 
 
 def _detect(model, subject, atlas, roi_ids, normalized):
-    """Report for the given ROIs: one masked forward pass per ROI, batched.
+    """One-subject :class:`ScoreMatrix` of the given ROIs: one masked
+    forward pass per ROI, batched.
 
     Row r of the batch is the normalized subject with exactly ROI r's
     vertices replaced by the mask token.
@@ -100,19 +100,19 @@ def _detect(model, subject, atlas, roi_ids, normalized):
     xb, _ = masked_batch(model, batch, verts_per_roi)
     ctxn = np.repeat(model.normalize_context(subject.context)[None], len(roi_ids), 0)
     xhat, _ = forward_core(model, xb, ctxn, record=False)
-    scores = np.empty((model.config.in_channels, len(roi_ids)))
+    scores = np.empty((len(roi_ids), model.config.in_channels))
     for row, verts in enumerate(verts_per_roi):
         resid = xhat[row] - xn
         if not normalized:
             resid = resid * model.norm_std[:, None]
-        scores[:, row] = roi_residual_scores(resid, verts)
-    return AnomalyReport(
-        subject_id=subject.subject_id,
+        scores[row] = roi_residual_scores(resid, verts)
+    return ScoreMatrix(
+        subject_ids=[subject.subject_id],
         hemisphere=subject.hemisphere,
         channel_names=model.config.channel_names,
         roi_ids=[int(r) for r in roi_ids],
         roi_names={int(r): atlas.names[int(r)] for r in roi_ids},
-        scores=scores,
+        scores=scores[None],
         roi_sizes=np.array([len(v) for v in verts_per_roi]),
     )
 
@@ -125,11 +125,13 @@ def detect_roi(model, subject, atlas, roi_id, normalized=True):
     channel-summed l1 residual over the ROI.  ``normalized=False``
     reports the residual in raw feature units instead of z-scores.
     """
-    return _detect(model, subject, atlas, [roi_id], normalized).score(roi_id)
+    matrix = _detect(model, subject, atlas, [roi_id], normalized)
+    return float(matrix.scores[0, 0].sum())
 
 
 def detect_all(model, subject, atlas, normalized=True):
-    """Anomaly scores for every labeled ROI (label 0 excluded).
+    """One-subject :class:`ScoreMatrix` of every labeled ROI (label 0
+    excluded).
 
     One forward pass is evaluated per ROI; the passes are batched
     internally for speed, which leaves each ROI's reconstruction
@@ -141,24 +143,6 @@ def detect_all(model, subject, atlas, normalized=True):
     return _detect(model, subject, atlas, roi_ids, normalized)
 
 
-@dataclass
-class ScoreMatrix:
-    """Stacked anomaly scores: (subjects, rois, channels)."""
-
-    subject_ids: list
-    hemisphere: str
-    channel_names: tuple
-    roi_ids: list
-    roi_names: dict
-    scores: np.ndarray
-    roi_sizes: np.ndarray
-    skipped: list = field(default_factory=list)
-
-    @property
-    def num_subjects(self):
-        return len(self.subject_ids)
-
-
 def cohort_scores(model, subjects, atlas, normalized=True):
     """Score a cohort subject by subject, in the given stable order.
 
@@ -167,27 +151,21 @@ def cohort_scores(model, subjects, atlas, normalized=True):
     """
     if len(subjects) == 0:
         raise UsageError("cohort is empty")
-    reports = []
+    rows = []
     skipped = []
     for subject in subjects:
         try:
-            reports.append(detect_all(model, subject, atlas, normalized=normalized))
+            rows.append(detect_all(model, subject, atlas, normalized=normalized))
         except ShapeError as exc:
             warnings.warn(f"skipping subject {subject.subject_id!r}: {exc}",
                           stacklevel=2)
             skipped.append((subject.subject_id, str(exc)))
-    if not reports:
+    if not rows:
         raise UsageError("no subject in the cohort matches the model")
-    first = reports[0]
-    scores = np.stack([r.scores.T for r in reports])  # (S, R, C)
-    return ScoreMatrix(
-        subject_ids=[r.subject_id for r in reports],
-        hemisphere=first.hemisphere,
-        channel_names=first.channel_names,
-        roi_ids=first.roi_ids,
-        roi_names=first.roi_names,
-        scores=scores,
-        roi_sizes=first.roi_sizes,
+    return replace(
+        rows[0],
+        subject_ids=[sid for row in rows for sid in row.subject_ids],
+        scores=np.concatenate([row.scores for row in rows]),
         skipped=skipped,
     )
 

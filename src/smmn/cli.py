@@ -316,8 +316,10 @@ def _cmd_stats(args):
     if args.group_a and args.group_b and not (args.scores or args.manifest):
         groups = [anomaly.read_scores_csv(args.group_a),
                   anomaly.read_scores_csv(args.group_b)]
+        source = f"{args.group_a} vs {args.group_b}"
     elif args.scores and args.manifest and not (args.group_a or args.group_b):
         matrix = anomaly.read_scores_csv(args.scores)
+        source = args.scores
         manifest = io.load_manifest(args.manifest, check_files=False)
         group_of = {entry.subject_id: entry.group for entry in manifest.subjects}
         for sid in matrix.subject_ids:
@@ -336,7 +338,10 @@ def _cmd_stats(args):
                                   subject_ids=[matrix.subject_ids[i] for i in rows]))
     else:
         raise UsageError("pass --scores with --manifest, or --group-a with --group-b")
-    report = stats.effect_report(*groups, alpha=args.alpha)
+    try:
+        report = stats.effect_report(*groups, alpha=args.alpha)
+    except ShapeError as exc:
+        raise ShapeError(f"{source}: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
     stats.write_stats_csv(report, os.path.join(args.out, "stats.csv"))
     filtered = stats.EffectReport(

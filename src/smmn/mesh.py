@@ -295,8 +295,6 @@ class VertexClustering:
     in ascending order, padded with -1.
     """
 
-    fine_order: int
-    coarse_order: int
     parent: np.ndarray
 
     @cached_property
@@ -363,7 +361,7 @@ def build_hierarchy(max_order):
         raise ConfigurationError("hierarchy needs max_order >= 1")
     levels = tuple(icosphere(k) for k in range(max_order + 1))
     clusterings = tuple(
-        VertexClustering(k + 1, k, cluster_to_coarse(levels[k]))
+        VertexClustering(cluster_to_coarse(levels[k]))
         for k in range(max_order)
     )
     return IcosphereHierarchy(levels=levels, clusterings=clusterings)

@@ -17,12 +17,18 @@ Conventions (fixed so tests can be exact):
 * no Condon-Shortley phase in the associated Legendre functions;
 * orthonormal normalisation ``N_lm = sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!)``
   with an extra ``sqrt(2)`` for m > 0.
+
+scipy carries the numerics: the normalised radial factors
+``N_lm P_l^m(cos theta)`` come from ``scipy.special.sph_legendre_p`` and
+:func:`assoc_legendre` from ``scipy.special.assoc_legendre_p``; both
+include the Condon-Shortley phase, which is undone here by ``(-1)^m``.
 """
 
 from dataclasses import dataclass
 import math
 
 import numpy as np
+import scipy.special
 
 from .errors import DomainError, ShapeError
 
@@ -49,19 +55,8 @@ def basis_index(l, m, kind="a"):
     raise DomainError(f"unknown coefficient kind {kind!r}")
 
 
-def _double_factorial(n):
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
 def assoc_legendre(l, m, x):
     """Associated Legendre function P_l^m(x) without Condon-Shortley phase.
-
-    Uses the standard upward recurrence in the degree, seeded with the
-    closed-form diagonal term; stable for the small degrees used here.
 
     Parameters
     ----------
@@ -76,30 +71,7 @@ def assoc_legendre(l, m, x):
     if np.any(np.abs(x) > 1.0 + 1e-12):
         raise DomainError("associated Legendre argument outside [-1, 1]")
     x = np.clip(x, -1.0, 1.0)
-
-    # P_m^m = (2m-1)!! (1-x^2)^(m/2)
-    p_prev = np.full_like(x, float(_double_factorial(2 * m - 1)))
-    if m > 0:
-        p_prev = p_prev * np.sqrt((1.0 - x) * (1.0 + x)) ** m
-    if l == m:
-        return p_prev
-    # P_{m+1}^m = x (2m+1) P_m^m
-    p_cur = x * (2 * m + 1) * p_prev
-    for ll in range(m + 2, l + 1):
-        p_cur, p_prev = (
-            (x * (2 * ll - 1) * p_cur - (ll + m - 1) * p_prev) / (ll - m),
-            p_cur,
-        )
-    return p_cur
-
-
-def _norm_const(l, m):
-    n = math.sqrt(
-        (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - m) / math.factorial(l + m)
-    )
-    if m > 0:
-        n *= math.sqrt(2.0)
-    return n
+    return (-1) ** m * scipy.special.assoc_legendre_p(l, m, x)[0]
 
 
 def sh_eval(l, m, theta, phi, branch="cos"):
@@ -122,24 +94,27 @@ def sh_eval(l, m, theta, phi, branch="cos"):
 def filter_basis(l_max, theta, phi):
     """Evaluate the (L+1)^2 filter basis functions at (theta, phi).
 
-    Returns an array of shape ``broadcast(theta, phi).shape + (K,)`` with
-    K = (l_max+1)^2, laid out per :func:`basis_index`.  Because the filter
-    is linear in its coefficients this vector is also dF/dcoefficients.
+    ``theta`` is the polar angle in [0, pi].  Returns an array of shape
+    ``broadcast(theta, phi).shape + (K,)`` with K = (l_max+1)^2, laid out
+    per :func:`basis_index`.  Because the filter is linear in its
+    coefficients this vector is also dF/dcoefficients.
     """
     theta = np.asarray(theta, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
     theta, phi = np.broadcast_arrays(theta, phi)
-    k = num_coefficients(l_max)
-    out = np.empty(theta.shape + (k,), dtype=np.float64)
-    cos_t = np.cos(theta)
+    out = np.empty(theta.shape + (num_coefficients(l_max),), dtype=np.float64)
     for l in range(l_max + 1):
-        out[..., basis_index(l, 0, "a")] = _norm_const(l, 0) * assoc_legendre(
-            l, 0, cos_t
-        )
-        for m in range(1, l + 1):
-            radial = _norm_const(l, m) * assoc_legendre(l, m, cos_t)
-            out[..., basis_index(l, m, "a")] = radial * np.cos(m * phi)
-            out[..., basis_index(l, m, "b")] = radial * np.sin(m * phi)
+        out[..., basis_index(l, 0, "a")] = scipy.special.sph_legendre_p(l, 0, theta)[0]
+    for m in range(1, l_max + 1):
+        # (-1)^m undoes scipy's Condon-Shortley phase; sqrt(2) makes the
+        # real cos/sin pair orthonormal.
+        scale = (-1) ** m * math.sqrt(2.0)
+        cos_m = scale * np.cos(m * phi)
+        sin_m = scale * np.sin(m * phi)
+        for l in range(m, l_max + 1):
+            radial = scipy.special.sph_legendre_p(l, m, theta)[0]
+            out[..., basis_index(l, m, "a")] = radial * cos_m
+            out[..., basis_index(l, m, "b")] = radial * sin_m
     return out
 
 

@@ -115,7 +115,7 @@ def test_detect_all_cardinality(setup):
     model, atlas, samples = setup
     report = anomaly.detect_all(model, _as_record(samples[0]), atlas)
     assert len(report.roi_ids) == len(atlas.roi_ids()) == 14
-    assert report.scores.shape == (1, 14)
+    assert report.scores.shape == (1, 14, 1)
     assert np.all(report.scores >= 0.0)
     assert np.all(np.isfinite(report.scores))
     assert 0 not in report.roi_ids
@@ -127,7 +127,8 @@ def test_detect_all_scores_match_detect_roi_values(setup):
     report = anomaly.detect_all(model, rec, atlas)
     for roi in (1, 7, 14):
         single = anomaly.detect_roi(model, rec, atlas, roi)
-        assert report.score(roi) == pytest.approx(single, rel=1e-10)
+        col = report.roi_ids.index(roi)
+        assert report.scores[0, col].sum() == pytest.approx(single, rel=1e-10)
 
 
 def test_detect_all_deterministic(setup):
@@ -160,7 +161,7 @@ def test_injected_bump_ranks_first(setup):
     report = anomaly.detect_all(
         model, anomaly.SubjectRecord("b", bumped, rec.context), atlas
     )
-    top_roi = report.roi_ids[int(np.argmax(report.scores.sum(axis=0)))]
+    top_roi = report.roi_ids[int(np.argmax(report.scores[0].sum(axis=1)))]
     assert top_roi == roi
 
 
@@ -171,7 +172,7 @@ def test_cohort_scores_shape_and_rows(setup):
     assert matrix.scores.shape == (3, 14, 1)
     for i, rec in enumerate(records):
         row = anomaly.detect_all(model, rec, atlas)
-        np.testing.assert_array_equal(matrix.scores[i], row.scores.T)
+        np.testing.assert_array_equal(matrix.scores[i], row.scores[0])
     assert matrix.subject_ids == [r.subject_id for r in records]
 
 

@@ -173,6 +173,19 @@ def test_stats_on_score_table_with_missing_cell_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_stats_on_misaligned_score_tables_exits_2(tmp_path, capsys):
+    group_a = tmp_path / "a.csv"
+    group_b = tmp_path / "b.csv"
+    group_a.write_text("".join(_grid_lines(n_rois=2)))
+    group_b.write_text("".join(_grid_lines(n_rois=3)))
+    err = _exit_2_without_traceback(
+        capsys, "stats", "--group-a", str(group_a), "--group-b", str(group_b),
+        "--out", str(tmp_path / "out"),
+    )
+    assert str(group_a) in err and str(group_b) in err and "roi_ids" in err
+    assert not (tmp_path / "out").exists()
+
+
 def _group_manifest(path, groups):
     """A manifest that gives each subject id of ``groups`` its group."""
     subjects = [

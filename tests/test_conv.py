@@ -321,11 +321,7 @@ def test_pool_max_takes_maximum(clustering):
 
 def test_pool_singleton_cluster_identity():
     # build a 1-level clustering by hand with a singleton
-    cl = mesh.VertexClustering(
-        fine_order=None,
-        coarse_order=None,
-        parent=np.array([0, 0, 1]),
-    )
+    cl = mesh.VertexClustering(np.array([0, 0, 1]))
     x = np.array([[5.0, -1.0, 9.5]])
     out, argmax = conv.pool_max_core(x, cl, return_argmax=True)
     np.testing.assert_array_equal(out, [[5.0, 9.5]])
@@ -341,11 +337,7 @@ def test_pool_constant_field_argmax_tie_break(clustering):
 
 
 def test_unpool_broadcast():
-    cl = mesh.VertexClustering(
-        fine_order=None,
-        coarse_order=None,
-        parent=np.array([0, 0, 1]),
-    )
+    cl = mesh.VertexClustering(np.array([0, 0, 1]))
     x = np.array([[4.0, 7.0]])
     np.testing.assert_array_equal(conv.unpool_core(x, cl), [[4.0, 4.0, 7.0]])
 

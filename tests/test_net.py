@@ -248,7 +248,7 @@ def test_permutation_covariance():
     old_cl = model.hierarchy.clustering(1)
     new_parent = np.empty_like(old_cl.parent)
     new_parent[perm] = old_cl.parent
-    new_cl = mesh.VertexClustering(1, 0, new_parent)
+    new_cl = mesh.VertexClustering(new_parent)
     permuted_hier = mesh.IcosphereHierarchy(
         levels=(model.hierarchy.mesh(0), permuted_mesh),
         clusterings=(new_cl,),

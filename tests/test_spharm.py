@@ -60,6 +60,31 @@ def test_cos_branch_m1_value():
     assert value == pytest.approx(math.sqrt(3.0 / (4.0 * math.pi)) * 1.0, rel=1e-12)
 
 
+# Closed forms of the radial factors (sqrt(2) N_lm P_l^m(cos theta), no
+# Condon-Shortley phase) of four m > 0 columns.
+_CLOSED_FORM_RADIAL = {
+    (1, 1): lambda t: math.sqrt(3.0 / (4.0 * math.pi)) * np.sin(t),
+    (2, 1): lambda t: math.sqrt(15.0 / (4.0 * math.pi)) * np.sin(t) * np.cos(t),
+    (2, 2): lambda t: math.sqrt(15.0 / (16.0 * math.pi)) * np.sin(t) ** 2,
+    (3, 3): lambda t: math.sqrt(35.0 / (32.0 * math.pi)) * np.sin(t) ** 3,
+}
+
+
+@pytest.mark.parametrize("l, m", sorted(_CLOSED_FORM_RADIAL))
+def test_basis_matches_closed_forms_near_the_poles(l, m):
+    # Near the poles sin(theta) is small: forming it from cos(theta) as
+    # sqrt(1 - cos^2) would lose about 1e-10 relative here.
+    near = np.geomspace(1e-3, 0.1, 41)
+    theta = np.concatenate([near, math.pi - near])[:, None]
+    phi = np.linspace(0.0, 2.0 * math.pi, 13)[None, :]
+    basis = spharm.filter_basis(3, theta, phi)
+    radial = _CLOSED_FORM_RADIAL[l, m](theta)
+    for kind, trig in (("a", np.cos), ("b", np.sin)):
+        got = basis[..., spharm.basis_index(l, m, kind)]
+        err = np.abs(got - radial * trig(m * phi)) / np.abs(radial)
+        assert err.max() < 1e-13, (kind, err.max())
+
+
 def test_sin_branch_requires_positive_m():
     with pytest.raises(DomainError):
         spharm.sh_eval(1, 0, 0.1, 0.2, branch="sin")

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 import oracles
 from smmn import stats
 from smmn.anomaly import ScoreMatrix
-from smmn.errors import DomainError, UsageError
+from smmn.errors import DomainError, ShapeError, UsageError
 
 
 def test_anova_hand_example():
@@ -299,10 +299,10 @@ def test_effect_report_alignment_guard():
     rng = np.random.default_rng(11)
     a = _matrix(rng.uniform(size=(4, 3, 1)))
     b = _matrix(rng.uniform(size=(4, 4, 1)))
-    with pytest.raises(UsageError):
+    with pytest.raises(ShapeError, match="roi_ids"):
         stats.effect_report(a, b)
     c = _matrix(rng.uniform(size=(4, 3, 1)), hemisphere="right")
-    with pytest.raises(UsageError):
+    with pytest.raises(ShapeError, match="hemisphere"):
         stats.effect_report(a, c)
 
 
