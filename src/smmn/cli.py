@@ -57,7 +57,17 @@ _TRAIN_KEYS = {
     "mask_fraction": float, "lr": float, "lr_min": float, "epochs": int,
     "weight_decay": float, "patience": int, "batch_size": int, "seed": int,
 }
-_MODEL_KEYS = {"order": int, "channels": (int,), "l_max": int, "L": int}
+_MODEL_KEYS = {"order": int, "channels": (int,), "L": int}
+
+
+def _read_config(path, *tables):
+    """:func:`parse_config` of ``path``; a key in none of ``tables`` is a
+    UsageError naming the key and the file."""
+    config = parse_config(path)
+    for key in config:
+        if not any(key in table for table in tables):
+            raise UsageError(f"{path}: unknown config key {key!r}")
+    return config
 
 
 def _config_values(config, casts):
@@ -189,7 +199,7 @@ def _synth_config(config, seed_override):
 
 
 def _cmd_synth(args):
-    config = parse_config(args.config)
+    config = _read_config(args.config, _SYNTH_KEYS)
     cfg = _synth_config(config, args.seed)
     manifest_path = synth.generate_dataset(cfg, args.out)
     print(f"wrote {cfg.n_subjects} subjects to {args.out} "
@@ -212,7 +222,7 @@ def _manifest_samples(manifest, entries):
 
 
 def _cmd_train(args):
-    config = parse_config(args.config)
+    config = _read_config(args.config, _TRAIN_KEYS, _MODEL_KEYS)
     manifest = io.qc_filter(io.load_manifest(args.manifest))
     train_entries = manifest.split("train")
     val_entries = manifest.split("val")
@@ -223,7 +233,6 @@ def _cmd_train(args):
         train_values["seed"] = args.seed
     train_cfg = net.TrainConfig(**train_values)
     model_values = _config_values(config, _MODEL_KEYS)
-    # Renamed after l_max is read, so L overrides it.
     for key, name in (("order", "input_order"), ("L", "l_max")):
         if key in model_values:
             model_values[name] = model_values.pop(key)
@@ -289,17 +298,8 @@ def _cmd_detect(args):
     )
     if not entries:
         raise UsageError(f"manifest split {args.split!r} is empty")
-    subjects = [
-        anomaly.SubjectRecord(
-            subject_id=entry.subject_id,
-            features=io.load_subject_features(manifest, entry),
-            context=ContextVector(age=entry.age, sex=entry.sex),
-            hemisphere=atlas.hemisphere,
-        )
-        for entry in entries
-    ]
-    matrix = anomaly.cohort_scores(model, subjects, atlas,
-                                   normalized=not args.raw)
+    matrix = anomaly.cohort_scores(model, _manifest_samples(manifest, entries),
+                                   atlas, normalized=not args.raw)
     os.makedirs(args.out, exist_ok=True)
     anomaly.write_scores_csv(matrix, os.path.join(args.out, "scores.csv"))
     anomaly.write_scores_json(matrix, os.path.join(args.out, "scores.json"))

@@ -14,6 +14,11 @@ every parameter's name and shape from it.  Parameter initialization,
 :func:`forward_core`, :func:`backward_core` (the plan in reverse) and the
 checkpoint reader all follow those two.
 
+A subject is a :class:`Sample` (features, context, id); training and
+ROI-masked detection (:mod:`smmn.anomaly`) take the same record.  Its
+features meet the model in one check, :meth:`MMNModel.check_features`,
+which :func:`train`, :func:`forward` and detection each call.
+
 Training minimizes the masked l1 objective
 
     L = (1/|M|) sum_{m in M} sum_c | xhat[c, m] - x[c, m] |
@@ -296,6 +301,14 @@ class MMNModel:
     def num_input_vertices(self):
         return self.hierarchy.mesh(self.config.input_order).num_vertices
 
+    def check_features(self, features, who):
+        """ShapeError naming ``who`` unless ``features`` is a
+        (in_channels, num_input_vertices) array."""
+        expected = (self.config.in_channels, self.num_input_vertices)
+        if np.shape(features) != expected:
+            raise ShapeError(f"{who} has features of shape {np.shape(features)}, "
+                             f"model expects {expected}")
+
 
 # ---------------------------------------------------------------------------
 # Forward / backward cores (batched arrays).
@@ -421,14 +434,7 @@ def batch_loss_and_grad(xhat, target, masks):
 
 def forward(model, x_masked, ctx):
     """Reconstruct a single masked (normalized) feature map."""
-    if x_masked.num_vertices != model.num_input_vertices:
-        raise ShapeError(
-            f"expected {model.num_input_vertices} vertices, got {x_masked.num_vertices}"
-        )
-    if x_masked.channels != model.config.in_channels:
-        raise ShapeError(
-            f"expected {model.config.in_channels} channels, got {x_masked.channels}"
-        )
+    model.check_features(x_masked.values, "masked input")
     ctxn = model.normalize_context(ctx)
     out, _ = forward_core(model, x_masked.values[None], ctxn[None], record=False)
     return FeatureMap(out[0], level=model.config.input_order)
@@ -530,11 +536,16 @@ def train(model, train_set, val_set, config, verbose=False):
     masks are drawn once (seeded) and held fixed so the early-stopping
     metric is comparable across epochs.  Fresh training masks are drawn
     every epoch.  The model keeps the parameters of the best validation
-    epoch.  A non-finite train or val loss raises :class:`DomainError`.
+    epoch.  A sample whose features do not fit the model raises
+    :class:`ShapeError`; a non-finite train or val loss raises
+    :class:`DomainError`.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise UsageError("train and validation sets must be non-empty")
-    cfg = model.config
+    for split, samples in (("train", train_set), ("val", val_set)):
+        for i, sample in enumerate(samples):
+            model.check_features(sample.features,
+                                 f"{split} subject {sample.subject_id or i!r}")
     num_v = model.num_input_vertices
 
     mean, std, _ = normalize_features([s.features for s in train_set])

@@ -19,9 +19,10 @@ Conventions (fixed so tests can be exact):
   with an extra ``sqrt(2)`` for m > 0.
 
 scipy carries the numerics: the normalised radial factors
-``N_lm P_l^m(cos theta)`` come from ``scipy.special.sph_legendre_p`` and
-:func:`assoc_legendre` from ``scipy.special.assoc_legendre_p``; both
-include the Condon-Shortley phase, which is undone here by ``(-1)^m``.
+``N_lm P_l^m(cos theta)`` come from ``scipy.special.sph_legendre_p``,
+which includes the Condon-Shortley phase; it is undone here by
+``(-1)^m``.  One harmonic is one column of :func:`filter_basis`, at
+:func:`basis_index`.
 """
 
 from dataclasses import dataclass
@@ -53,42 +54,6 @@ def basis_index(l, m, kind="a"):
             raise DomainError("sin-branch coefficients start at m=1")
         return l * l + l + m
     raise DomainError(f"unknown coefficient kind {kind!r}")
-
-
-def assoc_legendre(l, m, x):
-    """Associated Legendre function P_l^m(x) without Condon-Shortley phase.
-
-    Parameters
-    ----------
-    l, m : int
-        Degree and order with 0 <= m <= l.
-    x : float or ndarray
-        Argument in [-1, 1].
-    """
-    if m < 0 or l < 0 or m > l:
-        raise DomainError(f"invalid degree/order (l={l}, m={m})")
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(np.abs(x) > 1.0 + 1e-12):
-        raise DomainError("associated Legendre argument outside [-1, 1]")
-    x = np.clip(x, -1.0, 1.0)
-    return (-1) ** m * scipy.special.assoc_legendre_p(l, m, x)[0]
-
-
-def sh_eval(l, m, theta, phi, branch="cos"):
-    """Real orthonormal spherical harmonic of degree l, order m >= 0.
-
-    ``branch`` selects the cos(m phi) or sin(m phi) family; m = 0 only
-    exists in the cos family.  The value is the ``a_lm`` (cos) or
-    ``b_lm`` (sin) column of :func:`filter_basis` at degree ``l``.
-    """
-    if m < 0 or m > l or l < 0:
-        raise DomainError(f"invalid degree/order (l={l}, m={m})")
-    if branch not in ("cos", "sin"):
-        raise DomainError(f"unknown branch {branch!r}")
-    if branch == "sin" and m == 0:
-        raise DomainError("sin branch requires m >= 1")
-    kind = "a" if branch == "cos" else "b"
-    return np.take(filter_basis(l, theta, phi), basis_index(l, m, kind), axis=-1)
 
 
 def filter_basis(l_max, theta, phi):

@@ -1,12 +1,12 @@
 """Two-group ANOVA, eta-squared effect sizes, and BH multiple testing.
 
-Anomaly scores of patients and controls are compared per (ROI, channel,
-hemisphere) with a one-way ANOVA (k = 2 groups).  P-values are the
-F distribution's upper tail from ``scipy.special.fdtrc``; the
-Benjamini-Hochberg step-up procedure (numpy, see :func:`bh_correct`)
-corrects each feature channel's family of tests, and the final report
-keeps the rejected rows (corrected q below the significance level),
-sorted by eta squared.
+Anomaly scores of patients and controls, one score table per group of
+one hemisphere, are compared per (ROI, channel) with a one-way ANOVA
+(k = 2 groups).  P-values are the F distribution's upper tail from
+``scipy.special.fdtrc``; the Benjamini-Hochberg step-up procedure
+(numpy, see :func:`bh_correct`) corrects each feature channel's family
+of tests, and the final report keeps the rejected rows (corrected q
+below the significance level), sorted by eta squared.
 """
 
 from dataclasses import dataclass
@@ -110,51 +110,44 @@ class EffectReport:
 def effect_report(scores_a, scores_b, alpha=0.05):
     """Group comparison of two anomaly-score cohorts.
 
-    ``scores_a`` / ``scores_b`` are :class:`~smmn.anomaly.ScoreMatrix`
-    pairs (or lists of pairs, e.g. one per hemisphere) aligned on
-    (ROI, channel) and hemisphere; a pair that differs in any of them is
-    a ShapeError.  BH correction runs per feature channel across all
-    ROIs and hemispheres in the call; rows with q < alpha survive into
-    ``significant``, sorted by descending eta squared.  Groups too small
-    to test are marked untested and excluded from the BH family.
+    ``scores_a`` / ``scores_b`` are the :class:`~smmn.anomaly.ScoreMatrix`
+    of group A and of group B, aligned on ROIs, channels and hemisphere;
+    a pair that differs in any of them is a ShapeError.  BH correction
+    runs per feature channel across all ROIs; rows with q < alpha survive
+    into ``significant``, sorted by descending eta squared.  Groups too
+    small to test are marked untested and excluded from the BH family.
     """
-    if not isinstance(scores_a, (list, tuple)):
-        scores_a = [scores_a]
-        scores_b = [scores_b]
-    if len(scores_a) != len(scores_b):
-        raise UsageError("group A and group B need the same number of score sets")
+    for what in ("roi_ids", "channel_names", "hemisphere"):
+        in_a, in_b = getattr(scores_a, what), getattr(scores_b, what)
+        if in_a != in_b:
+            raise ShapeError(f"the groups differ in {what}: {in_a} in A, "
+                             f"{in_b} in B")
     rows = []
-    for mat_a, mat_b in zip(scores_a, scores_b):
-        for what in ("roi_ids", "channel_names", "hemisphere"):
-            in_a, in_b = getattr(mat_a, what), getattr(mat_b, what)
-            if in_a != in_b:
-                raise ShapeError(f"the groups differ in {what}: {in_a} in A, "
-                                 f"{in_b} in B")
-        for c, channel in enumerate(mat_a.channel_names):
-            for r, rid in enumerate(mat_a.roi_ids):
-                col_a = mat_a.scores[:, r, c]
-                col_b = mat_b.scores[:, r, c]
-                tested = col_a.size >= 2 and col_b.size >= 2
-                if tested:
-                    f_stat, p, eta2 = anova_oneway(col_a, col_b)
-                else:
-                    f_stat = p = eta2 = math.nan
-                rows.append(
-                    GroupStats(
-                        hemisphere=mat_a.hemisphere,
-                        channel=channel,
-                        roi_id=rid,
-                        roi_name=mat_a.roi_names[rid],
-                        n_a=col_a.size,
-                        n_b=col_b.size,
-                        f_stat=f_stat,
-                        p=p,
-                        q=math.nan,
-                        eta2=eta2,
-                        rejected=False,
-                        tested=tested,
-                    )
+    for c, channel in enumerate(scores_a.channel_names):
+        for r, rid in enumerate(scores_a.roi_ids):
+            col_a = scores_a.scores[:, r, c]
+            col_b = scores_b.scores[:, r, c]
+            tested = col_a.size >= 2 and col_b.size >= 2
+            if tested:
+                f_stat, p, eta2 = anova_oneway(col_a, col_b)
+            else:
+                f_stat = p = eta2 = math.nan
+            rows.append(
+                GroupStats(
+                    hemisphere=scores_a.hemisphere,
+                    channel=channel,
+                    roi_id=rid,
+                    roi_name=scores_a.roi_names[rid],
+                    n_a=col_a.size,
+                    n_b=col_b.size,
+                    f_stat=f_stat,
+                    p=p,
+                    q=math.nan,
+                    eta2=eta2,
+                    rejected=False,
+                    tested=tested,
                 )
+            )
     for channel in dict.fromkeys(row.channel for row in rows):
         family = [row for row in rows if row.channel == channel and row.tested]
         if not family:

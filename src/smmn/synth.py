@@ -53,12 +53,24 @@ class SynthConfig:
 
     def __post_init__(self):
         self.channel_names = tuple(self.channel_names)
-        self.age_slope = tuple(float(a) for a in np.broadcast_to(
-            np.asarray(self.age_slope, dtype=np.float64), (len(self.channel_names),)
-        ))
-        self.noise_std = tuple(float(a) for a in np.broadcast_to(
-            np.asarray(self.noise_std, dtype=np.float64), (len(self.channel_names),)
-        ))
+        n = len(self.channel_names)
+        if n == 0:
+            raise ConfigurationError("channel_names must name at least one channel")
+        for name in ("age_slope", "noise_std"):
+            values = tuple(float(a) for a in np.atleast_1d(getattr(self, name)))
+            if len(values) not in (1, n):
+                raise ConfigurationError(f"{name} needs 1 value or one per "
+                                         f"channel ({n}), got {len(values)}")
+            setattr(self, name, values * (n // len(values)))
+        if not all(std >= 0.0 for std in self.noise_std):
+            raise ConfigurationError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not self.age_range[0] <= self.age_range[1]:
+            raise ConfigurationError(f"age_min {self.age_range[0]} exceeds "
+                                     f"age_max {self.age_range[1]}")
+        if self.field_degree < 0:
+            raise ConfigurationError("field_degree must be >= 0")
+        if self.n_rois < 1:
+            raise ConfigurationError("n_rois must be >= 1")
         if self.order > 6:
             raise ConfigurationError("synthetic datasets support order <= 6")
         if self.anomaly_amplitude < 0:

@@ -37,14 +37,6 @@ def setup():
     return model, atlas, make(6, 3)
 
 
-def _as_record(sample):
-    return anomaly.SubjectRecord(
-        subject_id=sample.subject_id,
-        features=sample.features,
-        context=sample.context,
-    )
-
-
 def test_zero_residual_scores_zero():
     # the scoring rule itself: a perfect reconstruction scores 0
     resid = np.zeros((2, 30))
@@ -53,7 +45,7 @@ def test_zero_residual_scores_zero():
 
 def test_detect_roi_deterministic(setup):
     model, atlas, samples = setup
-    rec = _as_record(samples[0])
+    rec = samples[0]
     a = anomaly.detect_roi(model, rec, atlas, 3)
     b = anomaly.detect_roi(model, rec, atlas, 3)
     assert a == b
@@ -63,7 +55,7 @@ def test_detect_roi_deterministic(setup):
 def test_detect_roi_missing_roi(setup):
     model, atlas, samples = setup
     with pytest.raises(UsageError):
-        anomaly.detect_roi(model, _as_record(samples[0]), atlas, 999)
+        anomaly.detect_roi(model, samples[0], atlas, 999)
 
 
 def test_masking_locality_bit_exact(setup):
@@ -71,7 +63,7 @@ def test_masking_locality_bit_exact(setup):
     model, atlas, samples = setup
     roi = 5
     verts = atlas.roi_vertices(roi)
-    rec = _as_record(samples[0])
+    rec = samples[0]
 
     xn = model.normalize(rec.features)
     xb = xn.copy()
@@ -101,7 +93,7 @@ def test_out_of_roi_perturbation_can_change_score(setup):
     model, atlas, samples = setup
     roi = 5
     outside = atlas.roi_vertices(6)
-    rec = _as_record(samples[1])
+    rec = samples[1]
     s_before = anomaly.detect_roi(model, rec, atlas, roi)
     perturbed = rec.features.copy()
     perturbed[:, outside] += 10.0
@@ -113,7 +105,7 @@ def test_out_of_roi_perturbation_can_change_score(setup):
 
 def test_detect_all_cardinality(setup):
     model, atlas, samples = setup
-    report = anomaly.detect_all(model, _as_record(samples[0]), atlas)
+    report = anomaly.detect_all(model, samples[0], atlas)
     assert len(report.roi_ids) == len(atlas.roi_ids()) == 14
     assert report.scores.shape == (1, 14, 1)
     assert np.all(report.scores >= 0.0)
@@ -123,7 +115,7 @@ def test_detect_all_cardinality(setup):
 
 def test_detect_all_scores_match_detect_roi_values(setup):
     model, atlas, samples = setup
-    rec = _as_record(samples[2])
+    rec = samples[2]
     report = anomaly.detect_all(model, rec, atlas)
     for roi in (1, 7, 14):
         single = anomaly.detect_roi(model, rec, atlas, roi)
@@ -133,7 +125,7 @@ def test_detect_all_scores_match_detect_roi_values(setup):
 
 def test_detect_all_deterministic(setup):
     model, atlas, samples = setup
-    rec = _as_record(samples[3])
+    rec = samples[3]
     a = anomaly.detect_all(model, rec, atlas)
     b = anomaly.detect_all(model, rec, atlas)
     np.testing.assert_array_equal(a.scores, b.scores)
@@ -141,7 +133,7 @@ def test_detect_all_deterministic(setup):
 
 def test_context_changes_report(setup):
     model, atlas, samples = setup
-    rec = _as_record(samples[4])
+    rec = samples[4]
     base = anomaly.detect_all(model, rec, atlas)
     other = anomaly.SubjectRecord(
         rec.subject_id, rec.features,
@@ -155,7 +147,7 @@ def test_injected_bump_ranks_first(setup):
     model, atlas, samples = setup
     roi = 9
     verts = atlas.roi_vertices(roi)
-    rec = _as_record(samples[5])
+    rec = samples[5]
     bumped = rec.features.copy()
     bumped[:, verts] += 5.0 * model.norm_std[:, None]
     report = anomaly.detect_all(
@@ -167,7 +159,7 @@ def test_injected_bump_ranks_first(setup):
 
 def test_cohort_scores_shape_and_rows(setup):
     model, atlas, samples = setup
-    records = [_as_record(s) for s in samples[:3]]
+    records = samples[:3]
     matrix = anomaly.cohort_scores(model, records, atlas)
     assert matrix.scores.shape == (3, 14, 1)
     for i, rec in enumerate(records):
@@ -178,7 +170,7 @@ def test_cohort_scores_shape_and_rows(setup):
 
 def test_cohort_scores_order_independent(setup):
     model, atlas, samples = setup
-    records = [_as_record(s) for s in samples[:4]]
+    records = samples[:4]
     a = anomaly.cohort_scores(model, records, atlas)
     b = anomaly.cohort_scores(model, records[::-1], atlas)
     for i, sid in enumerate(a.subject_ids):
@@ -192,10 +184,27 @@ def test_cohort_skips_mismatched_subjects(setup):
                                 net.ContextVector(60.0, 1.0))
     with pytest.warns(UserWarning):
         matrix = anomaly.cohort_scores(
-            model, [_as_record(samples[0]), bad], atlas
+            model, [samples[0], bad], atlas
         )
     assert matrix.num_subjects == 1
     assert matrix.skipped and matrix.skipped[0][0] == "bad"
+
+
+def test_cohort_scores_take_the_hemisphere_of_the_atlas(setup, tmp_path):
+    # a training Sample and a SubjectRecord score alike; neither names a
+    # hemisphere, every row gets the atlas's
+    model, _, samples = setup
+    right = synth.synthetic_atlas(mesh.icosphere(2), 14, hemisphere="right")
+    records = [samples[0]] + [
+        anomaly.SubjectRecord(s.subject_id, s.features, s.context)
+        for s in samples[1:3]
+    ]
+    matrix = anomaly.cohort_scores(model, records, right)
+    assert matrix.hemisphere == "right"
+    anomaly.write_scores_csv(matrix, tmp_path / "scores.csv")
+    rows = (tmp_path / "scores.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3 * 14
+    assert {row.split(",")[1] for row in rows} == {"right"}
 
 
 def test_cohort_empty_rejected(setup):
@@ -208,12 +217,12 @@ def test_atlas_level_mismatch(setup):
     model, _, samples = setup
     small_atlas = synth.synthetic_atlas(mesh.icosphere(1), 5)
     with pytest.raises(ShapeError):
-        anomaly.detect_all(model, _as_record(samples[0]), small_atlas)
+        anomaly.detect_all(model, samples[0], small_atlas)
 
 
 def test_raw_scores_scale_with_norm_std(setup):
     model, atlas, samples = setup
-    rec = _as_record(samples[0])
+    rec = samples[0]
     z_score = anomaly.detect_roi(model, rec, atlas, 2, normalized=True)
     raw_score = anomaly.detect_roi(model, rec, atlas, 2, normalized=False)
     assert raw_score == pytest.approx(z_score * model.norm_std[0], rel=1e-12)
@@ -221,7 +230,7 @@ def test_raw_scores_scale_with_norm_std(setup):
 
 def test_scores_csv_json_round_trip(setup, tmp_path):
     model, atlas, samples = setup
-    matrix = anomaly.cohort_scores(model, [_as_record(s) for s in samples[:3]], atlas)
+    matrix = anomaly.cohort_scores(model, samples[:3], atlas)
     csv_path = tmp_path / "scores.csv"
     anomaly.write_scores_csv(matrix, csv_path)
     header = csv_path.read_text().splitlines()[0]

@@ -2,6 +2,7 @@ import argparse
 import importlib.util
 import json
 from pathlib import Path
+import re
 
 import numpy as np
 import pytest
@@ -290,6 +291,16 @@ def test_readme_commands_match_the_parser():
                 assert word in options, (words[1], word)
 
 
+def test_readme_config_keys_match_the_tables():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("### Config file keys")[1].split("\n## ")[0]
+    training, synthesis = (section.split("Training (`train.cfg`):")[1]
+                           .split("Synthesis (`synth.cfg`):"))
+    keys = lambda text: set(re.findall(r"`([A-Za-z_]\w*)`", text))
+    assert keys(training) == set(cli._TRAIN_KEYS) | set(cli._MODEL_KEYS)
+    assert keys(synthesis) == set(cli._SYNTH_KEYS)
+
+
 def test_resample_atlas_with_non_utf8_byte_exits_2(tmp_path, capsys):
     surf = tmp_path / "ico1.surf"
     assert run("icosphere", "--order", "1", "--out", str(surf)) == 0
@@ -402,6 +413,60 @@ def test_synth_config_bad_list_element_exits_1(tmp_path, capsys):
         "--out", str(tmp_path / "ds"),
     )
     assert "'age_slope'" in err
+
+
+@pytest.mark.parametrize("line, named", [
+    ("noise_std = -0.1", "noise_std"),
+    ("age_slope = 0.1, 0.2", "age_slope"),
+    ("channel_names = a, b\nnoise_std = 0.1, 0.2, 0.3", "noise_std"),
+    ("age_min = 80\nage_max = 50", "age_min"),
+    ("field_degree = -1", "field_degree"),
+    ("channel_names =", "channel_names"),
+    ("n_rois = 0", "n_rois"),
+])
+def test_synth_config_bad_value_exits_1(tmp_path, capsys, line, named):
+    (tmp_path / "synth.cfg").write_text(f"order = 1\nn_subjects = 4\n{line}\n")
+    err = _exit_1_without_traceback(
+        capsys, "synth", "--config", str(tmp_path / "synth.cfg"),
+        "--out", str(tmp_path / "ds"),
+    )
+    assert named in err
+
+
+@pytest.mark.parametrize("command, line", [
+    ("synth", "n_subject = 4"),
+    ("train", "epoch = 1"),
+    ("train", "l_max = 1"),
+])
+def test_unknown_config_key_exits_1(tmp_path, capsys, command, line):
+    manifest = _synth_order_1(tmp_path)
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_text(cfg.read_text() + line + "\n")
+    args = {"synth": ("--out", str(tmp_path / "ds2")),
+            "train": ("--manifest", str(manifest), "--out", str(tmp_path / "run"))}
+    err = _exit_1_without_traceback(capsys, command, "--config", str(cfg),
+                                    *args[command])
+    assert repr(line.split()[0]) in err and str(cfg) in err
+
+
+@pytest.mark.parametrize("data_order, model_order", [(1, 2), (2, 1)])
+def test_train_model_order_other_than_the_data_exits_2(tmp_path, capsys,
+                                                       data_order, model_order):
+    (tmp_path / "synth.cfg").write_text(
+        f"order = {data_order}\nn_subjects = 4\nn_train = 2\nn_val = 2\n"
+        "n_rois = 3\nseed = 1\n"
+    )
+    assert run("synth", "--config", str(tmp_path / "synth.cfg"),
+               "--out", str(tmp_path / "ds")) == 0
+    (tmp_path / "train.cfg").write_text(
+        f"order = {model_order}\nchannels = 2\nepochs = 1\n")
+    err = _exit_2_without_traceback(
+        capsys, "train", "--manifest", str(tmp_path / "ds" / "manifest.json"),
+        "--config", str(tmp_path / "train.cfg"), "--out", str(tmp_path / "run"),
+    )
+    vertices = {1: 42, 2: 162}
+    assert "'sub-0'" in err
+    assert f"(1, {vertices[data_order]})" in err and f"(1, {vertices[model_order]})" in err
 
 
 def test_train_on_subject_with_nan_exits_2(tmp_path, capsys):

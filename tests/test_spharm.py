@@ -2,61 +2,30 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 from hypothesis import given, strategies as st
 
 from smmn import spharm
 from smmn.errors import DomainError, ShapeError
 
 
-def test_p00_is_one():
-    for x in (-1.0, -0.3, 0.0, 0.5, 1.0):
-        assert spharm.assoc_legendre(0, 0, x) == 1.0
-
-
-def test_p10_is_x():
-    assert spharm.assoc_legendre(1, 0, 0.3) == pytest.approx(0.3, abs=0)
-
-
-def test_p20_closed_form():
-    # (3x^2 - 1) / 2 at x = 0.5
-    assert spharm.assoc_legendre(2, 0, 0.5) == -0.125
-
-
-@pytest.mark.parametrize("l", range(0, 7))
-def test_assoc_legendre_vs_scipy(l):
-    # scipy's lpmv includes the Condon-Shortley phase; ours does not.
-    x = np.linspace(-0.99, 0.99, 17)
-    for m in range(0, l + 1):
-        ours = spharm.assoc_legendre(l, m, x)
-        ref = (-1.0) ** m * scipy.special.lpmv(m, l, x)
-        np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=1e-12)
-
-
-def test_assoc_legendre_domain_errors():
-    with pytest.raises(DomainError):
-        spharm.assoc_legendre(1, 2, 0.0)
-    with pytest.raises(DomainError):
-        spharm.assoc_legendre(2, -1, 0.0)
-    with pytest.raises(DomainError):
-        spharm.assoc_legendre(2, 0, 1.5)
-
-
 def test_y00_value():
     expected = 1.0 / (2.0 * math.sqrt(math.pi))
-    assert spharm.sh_eval(0, 0, 0.3, 0.7) == pytest.approx(expected, abs=1e-15)
+    value = spharm.filter_basis(0, 0.3, 0.7)[..., spharm.basis_index(0, 0, "a")]
+    assert value == pytest.approx(expected, abs=1e-15)
     assert expected == pytest.approx(0.2820948, abs=1e-7)
 
 
 def test_y10_at_pole():
-    assert spharm.sh_eval(1, 0, 0.0, 0.0) == pytest.approx(
+    value = spharm.filter_basis(1, 0.0, 0.0)[..., spharm.basis_index(1, 0, "a")]
+    assert value == pytest.approx(
         math.sqrt(3.0 / (4.0 * math.pi)), abs=1e-15
     )
 
 
 def test_cos_branch_m1_value():
     # l=1, m=1 cos branch at (pi/2, 0): sqrt(2) * N_11 * P_11(0)
-    value = spharm.sh_eval(1, 1, math.pi / 2.0, 0.0, branch="cos")
+    basis = spharm.filter_basis(1, math.pi / 2.0, 0.0)
+    value = basis[..., spharm.basis_index(1, 1, "a")]
     assert value == pytest.approx(math.sqrt(3.0 / (4.0 * math.pi)) * 1.0, rel=1e-12)
 
 
@@ -83,13 +52,6 @@ def test_basis_matches_closed_forms_near_the_poles(l, m):
         got = basis[..., spharm.basis_index(l, m, kind)]
         err = np.abs(got - radial * trig(m * phi)) / np.abs(radial)
         assert err.max() < 1e-13, (kind, err.max())
-
-
-def test_sin_branch_requires_positive_m():
-    with pytest.raises(DomainError):
-        spharm.sh_eval(1, 0, 0.1, 0.2, branch="sin")
-    with pytest.raises(DomainError):
-        spharm.sh_eval(1, 1, 0.1, 0.2, branch="bogus")
 
 
 def _quadrature_grid(n_theta=16, n_phi=64):
@@ -134,6 +96,8 @@ def test_basis_index_layout():
     assert spharm.basis_index(3, 3, "b") == 15
     with pytest.raises(DomainError):
         spharm.basis_index(1, 0, "b")
+    with pytest.raises(DomainError):
+        spharm.basis_index(1, 1, "bogus")
 
 
 def test_constant_bank_evaluates_to_one():
