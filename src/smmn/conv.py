@@ -20,8 +20,14 @@ in a fixed order; identical inputs give bit-identical outputs.
 
 Each mesh caches a :class:`ConvContext` per filter degree holding its
 padded one-ring table and the filter basis sampled at every ring slot.
-Per-vertex and per-cluster reductions are gathers through a padded
-table followed by a sum or max over its columns.
+
+The cores take and return (B, C, N) arrays but compute on their
+vertex- or facet-major (N, B, C) row tables.  A neighbourhood read
+(facet corners, ring slots, cluster members, parents) is then a row
+gather through a padded table, whose -1 pads read an appended zero or
+-inf row, and a channel mix is one 2-D GEMM on (N·B, C) rows.  The
+network carries every feature as a (B, C, N) view of a C-contiguous
+(N, B, C) buffer, so these row tables cost no copy.
 """
 
 from dataclasses import dataclass
@@ -135,38 +141,62 @@ def conv_context(mesh, l_max):
 
 
 # ---------------------------------------------------------------------------
-# Array cores.  X is (B, C_in, V); facet grids are (B, C, F).
+# Array cores.  Each takes (B, C, N) arrays, N being vertices or facets, and
+# returns (B, C, N) views of C-contiguous (N, B, C) row tables (see the module
+# docstring).  A C-contiguous (B, C, N) input gives the same values.
+
+
+def _rows(x):
+    """The (N, ...) row table of a (..., N) array, as a view."""
+    return np.moveaxis(x, -1, 0)
+
+
+def _cols(rows):
+    """The (..., N) view of an (N, ...) row table: the inverse of _rows."""
+    return np.moveaxis(rows, 0, -1)
+
+
+def _padded_rows(x, fill):
+    """The row table of ``x`` plus a last row ``fill``, which the -1 pads of
+    a padded table gather."""
+    rows = _rows(x)
+    return np.concatenate([rows, np.full((1,) + rows.shape[1:], fill)])
+
+
+def _mix(rows, weights):
+    """(N, B, in) rows times an (in, out) matrix, as one 2-D GEMM."""
+    n, batch, c_in = rows.shape
+    return (rows.reshape(n * batch, c_in) @ weights).reshape(n, batch, -1)
 
 
 def v2f_forward_core(ctx, x, coeffs):
     fj = np.einsum("oik,jk->joi", coeffs, ctx.v2f_basis)
-    out = np.matmul(fj[0], x[:, :, ctx.corners[0]])
-    out += np.matmul(fj[1], x[:, :, ctx.corners[1]])
-    out += np.matmul(fj[2], x[:, :, ctx.corners[2]])
-    return out
+    rows = _rows(x)
+    out = _mix(rows[ctx.corners[0]], fj[0].T)
+    out += _mix(rows[ctx.corners[1]], fj[1].T)
+    out += _mix(rows[ctx.corners[2]], fj[2].T)
+    return _cols(out)
 
 
 def v2f_backward_core(ctx, coeffs, x, grad_out):
     fj = np.einsum("oik,jk->joi", coeffs, ctx.v2f_basis)
-    batch, c_in, _ = x.shape
-    out_ch = grad_out.shape[1]
-    contrib = np.zeros((batch, c_in, 3 * ctx.num_facets + 1))  # zero pad last
+    rows = _rows(x)
+    batch, out_ch, num_f = grad_out.shape
+    dy = _rows(grad_out).reshape(num_f * batch, out_ch)
+    # Row 3f + j is corner j's share of facet f's gradient; the zero last
+    # row is what the pads of ``slots`` gather.
+    contrib = np.empty((3 * num_f + 1, batch, rows.shape[2]))
+    contrib[-1] = 0.0
+    corner_rows = contrib[:-1].reshape(num_f, 3, batch, -1)
     grad_coeffs = np.zeros_like(coeffs)
-    g_flat = np.ascontiguousarray(grad_out.transpose(1, 0, 2)).reshape(out_ch, -1)
     for j in range(3):
-        contrib[:, :, j:-1:3] = np.matmul(fj[j].T, grad_out)
-        xj = np.ascontiguousarray(
-            x[:, :, ctx.corners[j]].transpose(1, 0, 2)
-        ).reshape(c_in, -1)
-        grad_coeffs += (g_flat @ xj.T)[:, :, None] * ctx.v2f_basis[j][None, None, :]
-    grad_x = contrib[..., ctx.slots].sum(axis=-2)
-    return grad_x, grad_coeffs
-
-
-def _with_pad(values, fill):
-    """``values`` plus one last-axis entry ``fill``, which index -1 gathers."""
-    pad = np.full(values.shape[:-1] + (1,), fill)
-    return np.concatenate([values, pad], axis=-1)
+        corner_rows[:, j] = (dy @ fj[j]).reshape(num_f, batch, -1)
+        xj = rows[ctx.corners[j]].reshape(num_f * batch, -1)
+        grad_coeffs += (dy.T @ xj)[:, :, None] * ctx.v2f_basis[j][None, None, :]
+    grad_x = contrib[ctx.slots[0]]  # summed over the ring slots, in slot order
+    for slot in ctx.slots[1:]:
+        grad_x += contrib[slot]
+    return _cols(grad_x), grad_coeffs
 
 
 def _filters(basis, coeffs):
@@ -176,28 +206,30 @@ def _filters(basis, coeffs):
 
 
 def f2v_forward_core(ctx, h, coeffs):
-    rows = np.ascontiguousarray(_with_pad(h, 0.0).transpose(2, 1, 0))  # (F + 1, in, B)
-    acc = 0.0  # (V, out, B), summed one ring slot at a time, in slot order
+    rows = _padded_rows(h, 0.0)  # (F + 1, B, in)
+    acc = 0.0  # (V, B, out), summed one ring slot at a time, in slot order
     for basis, facets in zip(ctx.slot_basis, ctx.slot_facets):
-        acc += np.matmul(_filters(basis, coeffs), rows[facets])
-    return np.ascontiguousarray(acc.transpose(2, 1, 0))
+        acc += np.matmul(rows[facets], _filters(basis, coeffs).transpose(0, 2, 1))
+    return _cols(acc)
 
 
 def f2v_backward_core(ctx, coeffs, h, grad_out):
-    batch, c_in, _ = h.shape
-    out_ch, _, k = coeffs.shape
-    rows = np.ascontiguousarray(_with_pad(h, 0.0).transpose(2, 1, 0))  # (F + 1, in, B)
-    dv = np.ascontiguousarray(grad_out.transpose(2, 1, 0))  # (V, out, B)
+    out_ch, c_in, k = coeffs.shape
+    rows = _padded_rows(h, 0.0)  # (F + 1, B, in)
+    dv = np.ascontiguousarray(_rows(grad_out))  # (V, B, out)
     grad_coeffs = 0.0  # (out * in, K)
-    dhe = np.empty(ctx.slots.shape + (c_in, batch))  # (D, V, in, B)
+    dhe = np.empty(ctx.slots.shape + rows.shape[1:])  # (D, V, B, in)
     for d, (basis, facets) in enumerate(zip(ctx.slot_basis, ctx.slot_facets)):
-        outer = np.matmul(dv, rows[facets].transpose(0, 2, 1))  # (V, out, in)
+        outer = np.matmul(dv.transpose(0, 2, 1), rows[facets])  # (V, out, in)
         grad_coeffs += outer.reshape(-1, out_ch * c_in).T @ basis
-        dhe[d] = np.matmul(_filters(basis, coeffs).transpose(0, 2, 1), dv)
-    fold = dhe.reshape(-1, c_in, batch)[ctx.corner_slot]
-    fold = fold.reshape(ctx.num_facets, 3, c_in, batch).sum(axis=1)
-    return (np.ascontiguousarray(fold.transpose(2, 1, 0)),
-            grad_coeffs.reshape(out_ch, c_in, k))
+        np.matmul(dv, _filters(basis, coeffs), out=dhe[d])
+    # Flat row corner_slot[3f + j] of dhe is corner j of facet f.
+    flat = dhe.reshape((-1,) + rows.shape[1:])
+    corners = ctx.corner_slot.reshape(-1, 3)
+    grad_h = flat[corners[:, 0]]
+    grad_h += flat[corners[:, 1]]
+    grad_h += flat[corners[:, 2]]
+    return _cols(grad_h), grad_coeffs.reshape(out_ch, c_in, k)
 
 
 def leaky_relu(x, slope=LEAKY_SLOPE):
@@ -211,7 +243,8 @@ def leaky_relu_grad(x, slope=LEAKY_SLOPE):
 def block_forward(ctx, h, vf, fv, bias, activate):
     """vertex2facet -> facet2vertex -> bias -> optional leaky ReLU.
 
-    Returns the output and what :func:`block_backward` needs.
+    Returns the output and what :func:`block_backward` needs, each in the
+    layout of the cores' outputs.
     """
     g = v2f_forward_core(ctx, h, vf)
     z = f2v_forward_core(ctx, g, fv)
@@ -234,26 +267,31 @@ def block_backward(ctx, saved, vf, fv, grad_out):
 def pool_max_core(x, clustering, return_argmax=False):
     """Cluster max over the -inf-padded member table; the argmax is a fine
     vertex id, the lowest one on ties."""
-    members = _with_pad(x, -np.inf)[..., clustering.table]  # (..., Vc, D)
-    out = members.max(axis=-1)
+    members = _padded_rows(x, -np.inf)[clustering.table]  # (Vc, D, ...)
+    out = members.max(axis=1)
     if not return_argmax:
-        return out, None
-    slot = members.argmax(axis=-1)
-    return out, clustering.table[np.arange(clustering.num_coarse), slot]
+        return _cols(out), None
+    # Members ascend, so writing the ids of the slots that hold the max,
+    # from the last slot to the first, leaves the lowest.
+    table = clustering.table.reshape(clustering.table.shape + (1,) * (out.ndim - 1))
+    argmax = np.broadcast_to(table[:, 0], out.shape).copy()
+    for d in range(table.shape[1] - 1, -1, -1):
+        np.copyto(argmax, table[:, d], where=members[:, d] == out)
+    return _cols(out), _cols(argmax)
 
 
 def pool_max_backward_core(grad_out, argmax, num_fine):
-    grad_x = np.zeros(grad_out.shape[:-1] + (num_fine,), dtype=np.float64)
-    np.put_along_axis(grad_x, argmax, grad_out, axis=-1)
-    return grad_x
+    grad_x = np.zeros((num_fine,) + grad_out.shape[:-1], dtype=np.float64)
+    np.put_along_axis(grad_x, _rows(argmax), _rows(grad_out), axis=0)
+    return _cols(grad_x)
 
 
 def unpool_core(x, clustering):
-    return x[..., clustering.parent]
+    return _cols(_rows(x)[clustering.parent])
 
 
 def unpool_backward_core(grad_out, clustering):
-    return _with_pad(grad_out, 0.0)[..., clustering.table].sum(axis=-1)
+    return _cols(_padded_rows(grad_out, 0.0)[clustering.table].sum(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,15 @@ class SynthConfig:
             raise ConfigurationError("synthetic datasets support order <= 6")
         if self.anomaly_amplitude < 0:
             raise ConfigurationError("anomaly amplitude must be >= 0")
+        if self.n_subjects < 1:
+            raise ConfigurationError(f"n_subjects must be >= 1, got {self.n_subjects}")
+        for name in ("n_patients", "n_train", "n_val"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(
+                    f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 <= self.sex_balance <= 1.0:
+            raise ConfigurationError(
+                f"sex_balance must lie in [0, 1], got {self.sex_balance}")
         if self.n_patients > self.n_subjects:
             raise ConfigurationError("more patients than subjects")
         if self.n_train + self.n_val > self.n_subjects:

@@ -423,6 +423,12 @@ def test_synth_config_bad_list_element_exits_1(tmp_path, capsys):
     ("field_degree = -1", "field_degree"),
     ("channel_names =", "channel_names"),
     ("n_rois = 0", "n_rois"),
+    ("n_subjects = 0", "n_subjects"),
+    ("n_patients = -2", "n_patients"),
+    ("n_train = -2", "n_train"),
+    ("n_val = -1", "n_val"),
+    ("sex_balance = 3", "sex_balance"),
+    ("sex_balance = -0.5", "sex_balance"),
 ])
 def test_synth_config_bad_value_exits_1(tmp_path, capsys, line, named):
     (tmp_path / "synth.cfg").write_text(f"order = 1\nn_subjects = 4\n{line}\n")

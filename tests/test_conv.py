@@ -1,5 +1,6 @@
 import math
 
+from hypothesis import given, strategies as st
 import numpy as np
 import pytest
 
@@ -392,6 +393,90 @@ def test_pool_unpool_adjoint(clustering):
     ax = conv.unpool_core(x, clustering)
     aty = conv.unpool_backward_core(y, clustering)
     assert abs(np.sum(ax * y) - np.sum(x * aty)) < 1e-10
+
+
+@given(lead=st.sampled_from([(), (3,), (2, 3)]), seed=st.integers(0, 2**32 - 1),
+       levels=st.integers(1, 4))
+def test_pool_max_ties_break_to_the_lowest_fine_id(clustering, lead, seed, levels):
+    # Values from a few levels force ties inside most clusters.
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, levels, size=lead + (clustering.num_fine,)).astype(float)
+    out, argmax = conv.pool_max_core(x, clustering, return_argmax=True)
+    up = rng.standard_normal(out.shape)
+    grad = conv.pool_max_backward_core(up, argmax, clustering.num_fine)
+    expected = np.zeros_like(x)
+    for idx in np.ndindex(*lead):
+        for c in range(clustering.num_coarse):
+            members = clustering.members(c)
+            values = x[idx][members]
+            winner = members[values == values.max()].min()
+            assert out[idx][c] == values.max()
+            assert argmax[idx][c] == winner
+            expected[idx + (winner,)] = up[idx + (c,)]
+    np.testing.assert_array_equal(grad, expected)
+
+
+# -- layouts -------------------------------------------------------------------
+
+
+def _row_major_view(a):
+    """``a`` (..., N) as a view of a C-contiguous (N, ...) copy."""
+    view = np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1)
+    assert not view.flags.c_contiguous
+    return view
+
+
+def _core_calls(ctx, clustering, rng):
+    """Each core as a function of its (..., N) array arguments, with those
+    arguments' trailing shapes."""
+    c_vf = rng.standard_normal((3, 2, 16))
+    c_fv = rng.standard_normal((2, 3, 16))
+    v, f, vc = ctx.num_vertices, ctx.num_facets, clustering.num_coarse
+
+    def pool_backward(grad_out, x):
+        _, argmax = conv.pool_max_core(x, clustering, return_argmax=True)
+        return conv.pool_max_backward_core(grad_out, argmax, clustering.num_fine)
+
+    return {
+        "v2f_forward_core": (lambda x: conv.v2f_forward_core(ctx, x, c_vf),
+                             [(2, v)]),
+        "v2f_backward_core": (lambda x, y: conv.v2f_backward_core(ctx, c_vf, x, y),
+                              [(2, v), (3, f)]),
+        "f2v_forward_core": (lambda h: conv.f2v_forward_core(ctx, h, c_fv),
+                             [(3, f)]),
+        "f2v_backward_core": (lambda h, z: conv.f2v_backward_core(ctx, c_fv, h, z),
+                              [(3, f), (2, v)]),
+        "pool_max_core": (lambda x: conv.pool_max_core(x, clustering, True), [(v,)]),
+        "pool_max_backward_core": (pool_backward, [(vc,), (v,)]),
+        "unpool_core": (lambda x: conv.unpool_core(x, clustering), [(vc,)]),
+        "unpool_backward_core": (lambda z: conv.unpool_backward_core(z, clustering),
+                                 [(v,)]),
+    }
+
+
+@pytest.mark.parametrize("core, lead", [
+    (core, (3,)) for core in ("v2f_forward_core", "v2f_backward_core",
+                              "f2v_forward_core", "f2v_backward_core")
+] + [
+    (core, lead) for core in ("pool_max_core", "pool_max_backward_core",
+                              "unpool_core", "unpool_backward_core")
+    for lead in [(2,), (3, 2)]
+])
+def test_cores_give_equal_arrays_on_either_layout(core, lead):
+    # A C-contiguous (..., N) input and a view of an (N, ...) buffer holding
+    # the same values give equal outputs and gradients.
+    hierarchy = mesh.build_hierarchy(2)
+    rng = np.random.default_rng(11)
+    ctx = conv.conv_context(hierarchy.mesh(2), 3)
+    fn, shapes = _core_calls(ctx, hierarchy.clustering(2), rng)[core]
+    args = [rng.standard_normal(lead + shape) for shape in shapes]
+    plain = fn(*args)
+    viewed = fn(*[_row_major_view(a) for a in args])
+    if not isinstance(plain, tuple):
+        plain, viewed = (plain,), (viewed,)
+    for a, b in zip(plain, viewed):
+        if a is not None:
+            np.testing.assert_array_equal(a, b)
 
 
 def test_feature_map_validation():

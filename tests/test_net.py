@@ -134,6 +134,24 @@ def test_forward_deterministic(tiny_model, tiny_sample):
     np.testing.assert_array_equal(a.values, b.values)
 
 
+def test_forward_tape_keeps_vertex_major_views(tiny_model):
+    # Each block's saved input h, facet features g and pre-activation is a
+    # (B, C, N) view of a C-contiguous (N, B, C) buffer, so no step has
+    # fallen back to a copy in another layout.
+    rng = np.random.default_rng(3)
+    masks = [net.sample_mask(42, 0.5, rng) for _ in range(3)]
+    xb, _ = net.masked_batch(tiny_model, rng.standard_normal((3, 2, 42)), masks)
+    _, tape = net.forward_core(tiny_model, xb, rng.standard_normal((3, 2)),
+                               record=True)
+    blocks = [saved for step, saved in zip(tiny_model.config.plan(), tape)
+              if step[0] == "block"]
+    assert len(blocks) == 4
+    for saved in blocks:
+        for a in saved[:3]:  # h, g, pre
+            assert a.shape[0] == 3 and a.shape[1] > 1
+            assert a.transpose(2, 0, 1).flags.c_contiguous
+
+
 def test_forward_context_sensitivity(tiny_model, tiny_sample):
     # the context path must carry gradient even at random init
     x = conv.FeatureMap(tiny_sample.features, level=1)
