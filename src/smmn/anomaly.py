@@ -12,10 +12,26 @@ the subject's unmasked anatomy and phenotype, which is what makes the
 detector subject-adaptive without retraining.  Everything here is
 deterministic: repeated runs give bit-identical reports.
 
+The R masked copies of a subject differ only near their ROIs, and each
+score reads only its ROI, so detection walks the plan once for all R
+rows and computes few of them.  The encoder runs on the unmasked
+subject (B = 1); each encoder block then recomputes, per ROI, only its
+support, the (vertex, ROI) rows that ROI's mask can reach, and copies
+the unmasked rows elsewhere.  Pools, the bottleneck and unpools run on
+all R rows.  Each decoder block computes only its demand, the rows that
+ROI's score reads through the blocks after it, and leaves the others
+NaN, so a read outside the demand makes the score non-finite and stops
+detection.  :func:`roi_tables` builds the supports and demands, once per
+cohort.  Scores equal those of one standalone masked forward pass per
+ROI up to float64 rounding, and exactly for a single ROI
+(:func:`detect_roi`).
+
 A subject is the record training takes: detection reads only its
 ``subject_id``, ``features`` and ``context``, so a :class:`~smmn.net.Sample`
 scores as is.  Its features pass :meth:`~smmn.net.MMNModel.check_features`,
-and every score table is labeled with the atlas's hemisphere.
+and every score table is labeled with the atlas's hemisphere.  Non-finite
+features or scores are a :class:`~smmn.errors.DomainError` naming the
+subject.
 
 Scores are not confined to an anomalous ROI.  Each masked ROI is
 reconstructed from the unmasked rest of the surface, and while any other
@@ -34,9 +50,10 @@ import warnings
 
 import numpy as np
 
-from .errors import ShapeError, UsageError
+from .conv import RowSelection, block_forward, pool_max_core, unpool_core
+from .errors import DomainError, ShapeError, UsageError
 from .io import Cursor
-from .net import ContextVector, forward_core, masked_batch
+from .net import ContextVector, bottleneck_forward, masked_batch
 
 
 @dataclass
@@ -75,82 +92,181 @@ def roi_residual_scores(residual, roi_vertices):
     return np.abs(residual[:, roi_vertices]).mean(axis=1)
 
 
-def _detect(model, subject, atlas, roi_ids, normalized):
-    """One-subject :class:`ScoreMatrix` of the given ROIs: one masked
-    forward pass per ROI, batched.
+@dataclass
+class RoiTables:
+    """What detection needs of one model and atlas, whatever the subject.
 
-    Row r of the batch is the normalized subject with exactly ROI r's
-    vertices replaced by the mask token.
+    ``vertices[r]`` are the vertices of ROI ``roi_ids[r]``.  ``rows`` maps
+    each conv block's name to the (facet, vertex)
+    :class:`~smmn.conv.RowSelection` pair that the block computes: its
+    support in the encoder, its demand in the decoder.
     """
-    model.check_features(subject.features, f"subject {subject.subject_id!r}")
+
+    roi_ids: list
+    vertices: list
+    rows: dict
+
+
+def roi_tables(model, atlas, roi_ids):
+    """The :class:`RoiTables` of the given ROIs.
+
+    Every table is an (N, R) boolean mask, one column per ROI, and each
+    starts from the ROI's own vertices.  A block's facets are those with
+    a corner in its mask, and the vertices with an incident facet among
+    them are one ring wider.  The encoder walks the plan forward: a
+    block computes its facets and that wider ring, which is the next
+    block's mask.  The decoder walks it backward from the output: a
+    block computes its facets and its mask, and the wider ring is the
+    demand on its input.  A pool or an unpool marks a coarse vertex when
+    any of its cluster's fine vertices is marked.  Each step is a gather
+    through a padded table.
+    """
     if atlas.num_vertices != model.num_input_vertices:
         raise ShapeError(f"atlas covers {atlas.num_vertices} vertices, model "
                          f"expects {model.num_input_vertices}")
-    verts_per_roi = [atlas.roi_vertices(rid) for rid in roi_ids]
-    for rid, verts in zip(roi_ids, verts_per_roi):
+    if not roi_ids:
+        raise UsageError("atlas has no labeled ROIs")
+    vertices = [atlas.roi_vertices(rid) for rid in roi_ids]
+    for rid, verts in zip(roi_ids, vertices):
         if len(verts) == 0:
             raise UsageError(f"ROI {rid} has no vertices in this atlas")
+    roi_mask = atlas.labels[:, None] == np.asarray(roi_ids)[None, :]  # (V, R)
+    plan = model.config.plan()
+    mid = plan.index(("bottleneck",))
+    rows = {}
+    for encoder, steps in ((True, plan[:mid]), (False, plan[:mid:-1])):
+        mask = roi_mask
+        for step in steps:
+            if step[0] == "block":
+                ctx = model.context_of(step[2])
+                facets = mask[ctx.corners].any(axis=0)  # (F, R)
+                reach = _pad_false(facets)[ctx.slot_facets].any(axis=0)  # (V, R)
+                rows[step[1]] = (RowSelection(facets),
+                                 RowSelection(reach if encoder else mask))
+                mask = reach
+            else:
+                table = model.hierarchy.clustering(step[1]).table
+                mask = _pad_false(mask)[table].any(axis=1)
+    return RoiTables([int(r) for r in roi_ids], vertices, rows)
+
+
+def _pad_false(mask):
+    """``mask`` and a last False row, which the -1 pads of a table read."""
+    return np.pad(mask, ((0, 1), (0, 0)))
+
+
+def _reconstruct(model, xn, ctxn, tables):
+    """Row r of the (R, C_in, V) reconstruction of the normalized subject
+    ``xn`` with ROI r masked: the sparse walk of the module docstring,
+    NaN wherever ROI r's score does not read it."""
+    p = model.params
+    base = xn[None]
+    h, _ = masked_batch(model, np.broadcast_to(xn, (len(tables.roi_ids),) + xn.shape),
+                        tables.vertices)
+    ctxn = np.repeat(ctxn[None], len(tables.roi_ids), axis=0)
+    encoding = True
+    for step in model.config.plan():
+        if step[0] == "block":
+            _, name, order, _, _, activate = step
+            ctx = model.context_of(order)
+            weights = (p[f"{name}_vf"], p[f"{name}_fv"], p[f"{name}_b"], activate)
+            saved = None
+            if encoding:
+                base, saved = block_forward(ctx, base, *weights)
+            h, _ = block_forward(ctx, h, *weights, rows=tables.rows[name], base=saved)
+        elif step[0] == "pool":
+            clustering = model.hierarchy.clustering(step[1])
+            base, _ = pool_max_core(base, clustering)
+            h, _ = pool_max_core(h, clustering)
+        elif step[0] == "unpool":
+            h = unpool_core(h, model.hierarchy.clustering(step[1]))
+        else:
+            encoding = False
+            h, _ = bottleneck_forward(model, h, ctxn)
+    return h
+
+
+def _detect(model, subject, atlas, tables, normalized):
+    """One-subject :class:`ScoreMatrix` of the ROIs of ``tables``.
+
+    Non-finite features, or a non-finite score, are a DomainError naming
+    the subject.
+    """
+    who = f"subject {subject.subject_id!r}"
+    model.check_features(subject.features, who)
+    if not np.all(np.isfinite(subject.features)):
+        raise DomainError(f"{who} has non-finite features")
     xn = model.normalize(subject.features)
-    batch = np.broadcast_to(xn, (len(roi_ids),) + xn.shape)
-    xb, _ = masked_batch(model, batch, verts_per_roi)
-    ctxn = np.repeat(model.normalize_context(subject.context)[None], len(roi_ids), 0)
-    xhat, _ = forward_core(model, xb, ctxn, record=False)
-    scores = np.empty((len(roi_ids), model.config.in_channels))
-    for row, verts in enumerate(verts_per_roi):
+    xhat = _reconstruct(model, xn, model.normalize_context(subject.context), tables)
+    scores = np.empty((len(tables.roi_ids), model.config.in_channels))
+    for row, verts in enumerate(tables.vertices):
         resid = xhat[row] - xn
         if not normalized:
             resid = resid * model.norm_std[:, None]
         scores[row] = roi_residual_scores(resid, verts)
+    if not np.all(np.isfinite(scores)):
+        raise DomainError(f"{who} has non-finite anomaly scores")
     return ScoreMatrix(
         subject_ids=[subject.subject_id],
         hemisphere=atlas.hemisphere,
         channel_names=model.config.channel_names,
-        roi_ids=[int(r) for r in roi_ids],
-        roi_names={int(r): atlas.names[int(r)] for r in roi_ids},
+        roi_ids=tables.roi_ids,
+        roi_names={r: atlas.names[r] for r in tables.roi_ids},
         scores=scores[None],
-        roi_sizes=np.array([len(v) for v in verts_per_roi]),
+        roi_sizes=np.array([len(v) for v in tables.vertices]),
     )
 
 
 def detect_roi(model, subject, atlas, roi_id, normalized=True):
     """Channel-summed anomaly score of one ROI.
 
-    Masks exactly the ROI's vertices with the learned token, runs one
-    forward pass with the subject's context, and averages the
-    channel-summed l1 residual over the ROI.  ``normalized=False``
-    reports the residual in raw feature units instead of z-scores.
+    Masks exactly the ROI's vertices with the learned token, reconstructs
+    them with the subject's context through the walk of
+    :func:`detect_all` at R = 1, and averages the channel-summed l1
+    residual over the ROI.  ``normalized=False`` reports the residual in
+    raw feature units instead of z-scores.
     """
-    matrix = _detect(model, subject, atlas, [roi_id], normalized)
+    matrix = _detect(model, subject, atlas, roi_tables(model, atlas, [roi_id]),
+                     normalized)
     return float(matrix.scores[0, 0].sum())
 
 
-def detect_all(model, subject, atlas, normalized=True):
+def detect_all(model, subject, atlas, normalized=True, tables=None):
     """One-subject :class:`ScoreMatrix` of every labeled ROI (label 0
     excluded).
 
-    One forward pass is evaluated per ROI; the passes are batched
-    internally for speed, which leaves each ROI's reconstruction
-    identical to a standalone masked forward with the same batch.
+    Each ROI is scored on the subject with that ROI masked.  The encoder
+    runs once on the unmasked subject and then recomputes, per ROI, only
+    the rows the mask can change; the decoder computes only the rows the
+    ROI's score reads (see :func:`roi_tables`).  Each score equals that of
+    a standalone masked forward pass up to float64 rounding.  ``tables``
+    are this model's and atlas's :func:`roi_tables` of every labeled
+    ROI; they are built when not given.
     """
-    roi_ids = atlas.roi_ids()
-    if not roi_ids:
-        raise UsageError("atlas has no labeled ROIs")
-    return _detect(model, subject, atlas, roi_ids, normalized)
+    if tables is None:
+        tables = roi_tables(model, atlas, atlas.roi_ids())
+    return _detect(model, subject, atlas, tables, normalized)
 
 
 def cohort_scores(model, subjects, atlas, normalized=True):
     """Score a cohort subject by subject, in the given stable order.
 
+    The :func:`roi_tables` are built once for the cohort, so an atlas
+    that does not fit the model raises before any subject is scored.
     Subjects whose shape does not match the model are skipped with a
-    warning and listed in ``skipped``; the others are still scored.
+    warning and listed in ``skipped``; the others are still scored.  A
+    subject with non-finite features or scores stops the cohort with a
+    DomainError.
     """
     if len(subjects) == 0:
         raise UsageError("cohort is empty")
+    tables = roi_tables(model, atlas, atlas.roi_ids())
     rows = []
     skipped = []
     for subject in subjects:
         try:
-            rows.append(detect_all(model, subject, atlas, normalized=normalized))
+            rows.append(detect_all(model, subject, atlas, normalized=normalized,
+                                   tables=tables))
         except ShapeError as exc:
             warnings.warn(f"skipping subject {subject.subject_id!r}: {exc}",
                           stacklevel=2)

@@ -28,6 +28,12 @@ gather through a padded table, whose -1 pads read an appended zero or
 -inf row, and a channel mix is one 2-D GEMM on (N·B, C) rows.  The
 network carries every feature as a (B, C, N) view of a C-contiguous
 (N, B, C) buffer, so these row tables cost no copy.
+
+Given a :class:`RowSelection`, the forward cores and :func:`block_forward`
+compute only the selected (row, batch) entries of their output table:
+vertex2facet as three GEMMs on the selected facets' gathered corner rows,
+facet2vertex with each active vertex's filters on its padded batch rows.
+ROI-masked detection (:mod:`smmn.anomaly`) walks the network this way.
 """
 
 from dataclasses import dataclass
@@ -169,12 +175,48 @@ def _mix(rows, weights):
     return (rows.reshape(n * batch, c_in) @ weights).reshape(n, batch, -1)
 
 
-def v2f_forward_core(ctx, x, coeffs):
+class RowSelection:
+    """The entries of an (N, B) row table that a forward core computes.
+
+    ``mask`` is the (N, B) boolean table and ``pairs`` the flat indices
+    n * B + b of its True entries, in row-major order.  ``active`` lists
+    the rows holding any entry; ``batch`` (len(active), n_max) holds each
+    active row's batch ids in ascending order, padded with 0 where
+    ``valid`` is False, so its valid entries read in row-major order are
+    ``pairs`` again.
+    """
+
+    def __init__(self, mask):
+        self.mask = mask
+        self.pairs = np.flatnonzero(mask)
+        counts = mask.sum(axis=1)
+        self.active = np.flatnonzero(counts)
+        self.valid = np.arange(counts.max(initial=0)) < counts[self.active, None]
+        self.batch = np.zeros(self.valid.shape, dtype=np.int64)
+        self.batch[self.valid] = self.pairs % mask.shape[1]
+
+
+def v2f_forward_core(ctx, x, coeffs, *, rows=None, fill=np.nan):
+    """Facet features; with ``rows`` (a :class:`RowSelection` of the
+    (F, B) table) only its (facet, batch) pairs, three GEMMs on their
+    gathered corner rows, and ``fill`` (broadcast to the (F, B, out) row
+    table) everywhere else."""
     fj = np.einsum("oik,jk->joi", coeffs, ctx.v2f_basis)
-    rows = _rows(x)
-    out = _mix(rows[ctx.corners[0]], fj[0].T)
-    out += _mix(rows[ctx.corners[1]], fj[1].T)
-    out += _mix(rows[ctx.corners[2]], fj[2].T)
+    x_rows = _rows(x)
+    if rows is None:
+        out = _mix(x_rows[ctx.corners[0]], fj[0].T)
+        out += _mix(x_rows[ctx.corners[1]], fj[1].T)
+        out += _mix(x_rows[ctx.corners[2]], fj[2].T)
+        return _cols(out)
+    num_v, batch, c_in = x_rows.shape
+    flat = x_rows.reshape(num_v * batch, c_in)
+    facets, b = np.divmod(rows.pairs, batch)
+    picked = flat[ctx.corners[0][facets] * batch + b] @ fj[0].T
+    picked += flat[ctx.corners[1][facets] * batch + b] @ fj[1].T
+    picked += flat[ctx.corners[2][facets] * batch + b] @ fj[2].T
+    out = np.empty((ctx.num_facets, batch, len(coeffs)))
+    out[...] = fill
+    out.reshape(-1, len(coeffs))[rows.pairs] = picked
     return _cols(out)
 
 
@@ -205,12 +247,28 @@ def _filters(basis, coeffs):
     return (basis @ coeffs.reshape(out_ch * in_ch, k).T).reshape(-1, out_ch, in_ch)
 
 
-def f2v_forward_core(ctx, h, coeffs):
-    rows = _padded_rows(h, 0.0)  # (F + 1, B, in)
-    acc = 0.0  # (V, B, out), summed one ring slot at a time, in slot order
-    for basis, facets in zip(ctx.slot_basis, ctx.slot_facets):
-        acc += np.matmul(rows[facets], _filters(basis, coeffs).transpose(0, 2, 1))
-    return _cols(acc)
+def f2v_forward_core(ctx, h, coeffs, *, rows=None):
+    """Vertex features; with ``rows`` (a :class:`RowSelection` of the
+    (V, B) table) only its (vertex, batch) pairs, each active vertex's
+    filters applied to its padded batch rows, and NaN everywhere else."""
+    acc = 0.0  # summed one ring slot at a time, in slot order
+    if rows is None:
+        h_rows = _padded_rows(h, 0.0)  # (F + 1, B, in)
+        for basis, facets in zip(ctx.slot_basis, ctx.slot_facets):
+            acc += np.matmul(h_rows[facets], _filters(basis, coeffs).transpose(0, 2, 1))
+        return _cols(acc)  # (V, B, out)
+    num_f, batch, c_in = _rows(h).shape
+    flat = _rows(h).reshape(num_f * batch, c_in)
+    facets = ctx.slot_facets[:, rows.active]
+    # A pad reads the vertex's first facet, which its selected rows compute;
+    # the zero basis at the pads zeroes its filter.
+    facets = np.where(facets >= 0, facets, facets[0])
+    for basis, slot in zip(ctx.slot_basis[:, rows.active], facets):
+        picked = flat[slot[:, None] * batch + rows.batch]  # (V', n_max, in)
+        acc += np.matmul(picked, _filters(basis, coeffs).transpose(0, 2, 1))
+    out = np.full((ctx.num_vertices, batch, len(coeffs)), np.nan)
+    out.reshape(-1, len(coeffs))[rows.pairs] = acc[rows.valid]
+    return _cols(out)
 
 
 def f2v_backward_core(ctx, coeffs, h, grad_out):
@@ -233,22 +291,33 @@ def f2v_backward_core(ctx, coeffs, h, grad_out):
 
 
 def leaky_relu(x, slope=LEAKY_SLOPE):
-    return np.where(x > 0.0, x, slope * x)
+    """x where x > 0, else slope * x (for 0 <= slope <= 1), in the memory
+    layout of ``x``; NaN stays NaN."""
+    out = slope * x
+    return np.maximum(out, x, out=out)
 
 
 def leaky_relu_grad(x, slope=LEAKY_SLOPE):
     return np.where(x > 0.0, 1.0, slope)
 
 
-def block_forward(ctx, h, vf, fv, bias, activate):
+def block_forward(ctx, h, vf, fv, bias, activate, *, rows=None, base=None):
     """vertex2facet -> facet2vertex -> bias -> optional leaky ReLU.
 
     Returns the output and what :func:`block_backward` needs, each in the
-    layout of the cores' outputs.
+    layout of the cores' outputs.  ``rows``, a pair of
+    :class:`RowSelection` of the (F, B) facet and (V, B) vertex tables,
+    computes only those entries.  The others are NaN, or, given ``base``
+    (what this block saved on a one-row input that agrees with every
+    row of ``h`` outside the selection's reach), that input's values.
     """
-    g = v2f_forward_core(ctx, h, vf)
-    z = f2v_forward_core(ctx, g, fv)
-    pre = z + bias[None, :, None]
+    facet_rows, vertex_rows = rows or (None, None)
+    g = v2f_forward_core(ctx, h, vf, rows=facet_rows,
+                         fill=np.nan if base is None else _rows(base[1]))
+    pre = f2v_forward_core(ctx, g, fv, rows=vertex_rows)
+    pre += bias[None, :, None]
+    if base is not None:
+        np.copyto(_rows(pre), _rows(base[2]), where=~vertex_rows.mask[..., None])
     out = leaky_relu(pre) if activate else pre
     return out, (h, g, pre, activate)
 

@@ -361,16 +361,23 @@ def forward_core(model, xb, ctxn, record=False):
         elif kind == "unpool":
             h, entry = conv.unpool_core(h, model.hierarchy.clustering(step[1])), None
         else:
-            # Context bottleneck: the context joins each channel as ctx_dim
-            # more vertex rows, and one GEMM projects the rows back.
-            rows = h.transpose(2, 0, 1)  # (d, B, C)
-            _, batch, c_l = rows.shape
-            rep = np.broadcast_to(ctxn.T[:, :, None], (cfg.ctx_dim, batch, c_l))
-            entry = np.concatenate([rows, rep]).reshape(-1, batch * c_l)
-            h = (p["ctx_proj"].T @ entry).reshape(-1, batch, c_l).transpose(1, 2, 0)
+            h, entry = bottleneck_forward(model, h, ctxn)
         if record:
             tape.append(entry)
     return h, tape
+
+
+def bottleneck_forward(model, h, ctxn):
+    """The context bottleneck on (B, C, d) features: the (B, ctx_dim)
+    context joins each channel as ctx_dim more vertex rows, and one GEMM
+    projects the rows back.  Returns the output and its (d + ctx_dim, B·C)
+    input rows."""
+    rows = h.transpose(2, 0, 1)  # (d, B, C)
+    _, batch, c_l = rows.shape
+    rep = np.broadcast_to(ctxn.T[:, :, None], (model.config.ctx_dim, batch, c_l))
+    entry = np.concatenate([rows, rep]).reshape(-1, batch * c_l)
+    out = model.params["ctx_proj"].T @ entry
+    return out.reshape(-1, batch, c_l).transpose(1, 2, 0), entry
 
 
 def backward_core(model, tape, grad_out, mask_matrix):

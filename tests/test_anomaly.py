@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from smmn import anomaly, mesh, net, spharm, synth
-from smmn.errors import ParseError, ShapeError, UsageError
+from smmn.errors import DomainError, ParseError, ShapeError, UsageError
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +168,123 @@ def test_cohort_scores_shape_and_rows(setup):
     assert matrix.subject_ids == [r.subject_id for r in records]
 
 
+def _dense_scores(model, subject, atlas, normalized=True):
+    """(R, C) scores of one standalone B = 1 masked forward pass per ROI."""
+    xn = model.normalize(subject.features)
+    ctxn = model.normalize_context(subject.context)[None]
+    scores = []
+    for roi in atlas.roi_ids():
+        verts = atlas.roi_vertices(roi)
+        xb, _ = net.masked_batch(model, xn[None], [verts])
+        xhat, _ = net.forward_core(model, xb, ctxn)
+        resid = xhat[0][:, verts] - xn[:, verts]
+        if not normalized:
+            resid = resid * model.norm_std[:, None]
+        scores.append(np.abs(resid).mean(axis=1))
+    return np.array(scores)
+
+
+def _random_order3_model():
+    """An order-3 model with random parameters and normalization."""
+    model = net.MMNModel(net.ModelConfig(input_order=3, channels=(8, 16),
+                                         in_channels=2, channel_names=("a", "b"),
+                                         seed=3))
+    rng = np.random.default_rng(3)
+    for name, arr in model.params.items():
+        if name.endswith("_b"):
+            model.params[name] = 0.1 * rng.standard_normal(arr.shape)
+    model.norm_mean = np.array([2.5, -1.0])
+    model.norm_std = np.array([0.5, 3.0])
+    model.ctx_stats = np.array([60.0, 9.0])
+    return model
+
+
+def _order3_case():
+    model = _random_order3_model()
+    atlas = synth.synthetic_atlas(model.hierarchy.mesh(3), 34)
+    rng = np.random.default_rng(4)
+    subjects = [
+        net.Sample(2.5 + 0.5 * rng.standard_normal((2, model.num_input_vertices)),
+                   net.ContextVector(50.0 + 10 * i, 1.0 - 2 * (i % 2)), f"o3_{i}")
+        for i in range(2)
+    ]
+    return model, atlas, subjects
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+def test_detection_equals_one_dense_pass_per_roi(setup, normalized):
+    """The sparse walk scores every ROI as a standalone dense masked pass
+    does; an entry read outside a decoder block's demand would be NaN and
+    stop detection instead."""
+    cases = [setup[:2] + (setup[2][:2],), _order3_case()]
+    for model, atlas, subjects in cases:
+        reference = np.stack([_dense_scores(model, s, atlas, normalized)
+                              for s in subjects])
+        assert reference.shape[1] == len(atlas.roi_ids()) in (14, 34)
+        matrix = anomaly.cohort_scores(model, subjects, atlas, normalized=normalized)
+        np.testing.assert_allclose(matrix.scores, reference, rtol=1e-12, atol=0)
+        single = anomaly.detect_all(model, subjects[0], atlas, normalized=normalized)
+        np.testing.assert_allclose(single.scores[0], reference[0], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_support_tables_hold_every_changed_encoder_row(setup, order):
+    """Perturbing one ROI's inputs changes an encoder block's
+    pre-activation only inside that block's support."""
+    if order == 2:
+        model, atlas, samples = setup
+        features = samples[0].features
+        context = samples[0].context
+    else:
+        model, atlas, subjects = _order3_case()
+        features, context = subjects[0].features, subjects[0].context
+    roi_ids = atlas.roi_ids()
+    tables = anomaly.roi_tables(model, atlas, roi_ids)
+    plan = model.config.plan()
+    encoder = [step[1] for step in plan[:plan.index(("bottleneck",))]
+               if step[0] == "block"]
+    ctxn = model.normalize_context(context)[None]
+    for r in (0, len(roi_ids) // 2, len(roi_ids) - 1):
+        verts = atlas.roi_vertices(roi_ids[r])
+        tapes = []
+        for shift in (0.0, 1.5):
+            x = model.normalize(features)
+            x[:, verts] += shift
+            _, tape = net.forward_core(model, x[None], ctxn, record=True)
+            tapes.append(tape)
+        blocks = [i for i, step in enumerate(plan) if step[0] == "block"]
+        for name, i in zip(encoder, blocks):
+            pre_a, pre_b = tapes[0][i][2][0], tapes[1][i][2][0]
+            changed = np.any(pre_a != pre_b, axis=0)
+            support = tables.rows[name][1].mask[:, r]
+            assert changed.any()
+            assert not np.any(changed & ~support), name
+    # the first block's support is a small part of the mesh
+    assert tables.rows[encoder[0]][1].mask.mean() < 0.2
+
+
+def test_non_finite_features_are_a_domain_error(setup):
+    model, atlas, samples = setup
+    bad = net.Sample(samples[0].features.copy(), samples[0].context, "nan_subject")
+    bad.features[0, 17] = np.nan
+    with pytest.raises(DomainError, match="'nan_subject' has non-finite features"):
+        anomaly.detect_all(model, bad, atlas)
+    with pytest.raises(DomainError, match="'nan_subject'"):
+        anomaly.cohort_scores(model, [samples[0], bad], atlas)
+
+
+def test_non_finite_scores_are_a_domain_error(setup):
+    # finite features whose reconstruction overflows
+    model, atlas, samples = setup
+    features = np.where(np.arange(model.num_input_vertices) % 2, 1e307, -1e307)
+    huge = net.Sample(features[None], samples[1].context, "huge")
+    with np.errstate(all="ignore"):
+        with pytest.raises(DomainError, match="'huge' has non-finite anomaly scores"):
+            anomaly.detect_all(model, huge, atlas)
+        with pytest.raises(DomainError, match="'huge'"):
+            anomaly.cohort_scores(model, [samples[0], huge], atlas)
+
+
 def test_cohort_scores_order_independent(setup):
     model, atlas, samples = setup
     records = samples[:4]
@@ -218,6 +335,9 @@ def test_atlas_level_mismatch(setup):
     small_atlas = synth.synthetic_atlas(mesh.icosphere(1), 5)
     with pytest.raises(ShapeError):
         anomaly.detect_all(model, samples[0], small_atlas)
+    # the atlas is checked once for the cohort, not blamed on each subject
+    with pytest.raises(ShapeError, match="atlas covers 42 vertices"):
+        anomaly.cohort_scores(model, samples[:2], small_atlas)
 
 
 def test_raw_scores_scale_with_norm_std(setup):

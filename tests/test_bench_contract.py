@@ -9,6 +9,8 @@ the benchmark's directory is left as it is.
 from pathlib import Path
 import types
 
+import numpy as np
+
 # Tracer.install finds each traced module in sys.modules.
 from smmn import anomaly, cli, conv, io, mesh, net, spharm, stats, synth  # noqa: F401
 
@@ -30,3 +32,24 @@ def test_tracer_finds_every_target():
     finally:
         tracer.uninstall()
     assert (net.forward_core, conv.conv_context, net.AdamW.step) == originals
+
+
+def test_tracer_times_the_sparse_detection_walk():
+    # The tracer's flop estimators take the cores' positional arguments
+    # only; the row selection goes by keyword and must pass through.
+    model = net.MMNModel(net.ModelConfig(input_order=2, channels=(8, 12)))
+    atlas = synth.synthetic_atlas(mesh.icosphere(2), 14)
+    subject = net.Sample(np.random.default_rng(0).standard_normal((1, 162)),
+                         net.ContextVector(60.0, 1.0), "traced")
+    untraced = anomaly.cohort_scores(model, [subject], atlas)
+    tracer = _tracing_module().Tracer(input_order=2)
+    tracer.install()
+    try:
+        traced = anomaly.cohort_scores(model, [subject], atlas)
+    finally:
+        tracer.uninstall()
+    np.testing.assert_array_equal(traced.scores, untraced.scores)
+    names = {span[1] for span in tracer.spans}
+    assert {"anomaly.detect_all", "conv.f2v_fwd.l0", "conv.f2v_fwd.l1",
+            "conv.v2f_fwd.l0", "conv.v2f_fwd.l1"} <= names
+    assert tracer.counts["anomaly.roi_passes"] == 14

@@ -479,6 +479,34 @@ def test_cores_give_equal_arrays_on_either_layout(core, lead):
             np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("batch", [1, 5])
+def test_forward_cores_compute_only_selected_rows(batch):
+    # With a RowSelection the forward cores give the dense values on the
+    # selected (row, batch) entries and their fill elsewhere: ``fill`` for
+    # vertex2facet, NaN for facet2vertex.
+    ctx = conv.conv_context(mesh.icosphere(2), 3)
+    rng = np.random.default_rng(12)
+    k = spharm.num_coefficients(3)
+    x = rng.standard_normal((batch, 4, ctx.num_vertices))
+    h = rng.standard_normal((batch, 3, ctx.num_facets))
+    vf, fv = rng.standard_normal((3, 4, k)), rng.standard_normal((2, 3, k))
+    fill = rng.standard_normal((ctx.num_facets, 1, 3))
+    for core, arg, coeffs, num, kw, unselected in [
+        (conv.v2f_forward_core, x, vf, ctx.num_facets, {"fill": fill},
+         np.moveaxis(fill, 0, -1)),
+        (conv.f2v_forward_core, h, fv, ctx.num_vertices, {}, np.nan),
+    ]:
+        mask = rng.random((num, batch)) < 0.3
+        mask[0] = False  # one row with no entry, one with every entry
+        mask[1] = True
+        dense = core(ctx, arg, coeffs)
+        sparse = core(ctx, arg, coeffs, rows=conv.RowSelection(mask), **kw)
+        sel = mask.T[:, None, :].repeat(len(coeffs), axis=1)
+        np.testing.assert_allclose(sparse[sel], dense[sel], rtol=1e-13, atol=1e-13)
+        expected = np.broadcast_to(unselected, dense.shape)
+        np.testing.assert_array_equal(sparse[~sel], expected[~sel])
+
+
 def test_feature_map_validation():
     with pytest.raises(ShapeError):
         conv.FeatureMap(np.zeros((2, 13)), level=0)  # wrong V for level
