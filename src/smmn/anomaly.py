@@ -50,7 +50,7 @@ import warnings
 
 import numpy as np
 
-from .conv import RowSelection, block_forward, pool_max_core, unpool_core
+from .conv import block_forward, pool_max_core, unpool_core
 from .errors import DomainError, ShapeError, UsageError
 from .io import Cursor
 from .net import ContextVector, bottleneck_forward, masked_batch
@@ -119,7 +119,7 @@ def roi_tables(model, atlas, roi_ids):
     block computes its facets and its mask, and the wider ring is the
     demand on its input.  A pool or an unpool marks a coarse vertex when
     any of its cluster's fine vertices is marked.  Each step is a gather
-    through a padded table.
+    through a neighbour table.
     """
     if atlas.num_vertices != model.num_input_vertices:
         raise ShapeError(f"atlas covers {atlas.num_vertices} vertices, model "
@@ -140,19 +140,14 @@ def roi_tables(model, atlas, roi_ids):
             if step[0] == "block":
                 ctx = model.context_of(step[2])
                 facets = mask[ctx.corners].any(axis=0)  # (F, R)
-                reach = _pad_false(facets)[ctx.slot_facets].any(axis=0)  # (V, R)
-                rows[step[1]] = (RowSelection(facets),
-                                 RowSelection(reach if encoder else mask))
+                reach = facets[ctx.slot_facets].any(axis=0)  # (V, R)
+                rows[step[1]] = ctx.select(facets, reach if encoder else mask)
                 mask = reach
             else:
                 table = model.hierarchy.clustering(step[1]).table
-                mask = _pad_false(mask)[table].any(axis=1)
+                # A last False row is what the -1 pads of the table read.
+                mask = np.pad(mask, ((0, 1), (0, 0)))[table].any(axis=1)
     return RoiTables([int(r) for r in roi_ids], vertices, rows)
-
-
-def _pad_false(mask):
-    """``mask`` and a last False row, which the -1 pads of a table read."""
-    return np.pad(mask, ((0, 1), (0, 0)))
 
 
 def _reconstruct(model, xn, ctxn, tables):

@@ -22,18 +22,22 @@ Each mesh caches a :class:`ConvContext` per filter degree holding its
 padded one-ring table and the filter basis sampled at every ring slot.
 
 The cores take and return (B, C, N) arrays but compute on their
-vertex- or facet-major (N, B, C) row tables.  A neighbourhood read
-(facet corners, ring slots, cluster members, parents) is then a row
-gather through a padded table, whose -1 pads read an appended zero or
--inf row, and a channel mix is one 2-D GEMM on (N·B, C) rows.  The
-network carries every feature as a (B, C, N) view of a C-contiguous
-(N, B, C) buffer, so these row tables cost no copy.
+vertex- or facet-major (N, B, C) row tables, so a channel mix is one
+2-D GEMM on (N·B, C) rows.  The network carries every feature as a
+(B, C, N) view of a C-contiguous (N, B, C) buffer, so these row tables
+cost no copy.
 
-Given a :class:`RowSelection`, the forward cores and :func:`block_forward`
-compute only the selected (row, batch) entries of their output table:
-vertex2facet as three GEMMs on the selected facets' gathered corner rows,
-facet2vertex with each active vertex's filters on its padded batch rows.
-ROI-masked detection (:mod:`smmn.anomaly`) walks the network this way.
+A forward core computes the (row, batch) entries of a :class:`RowSelection`,
+reading its input rows through the selection's flat indices n * B + b:
+vertex2facet as three GEMMs on the facets' corner rows, facet2vertex with
+each active vertex's filters on its facet rows, one ring slot at a time.
+A slot past a vertex's degree reads the vertex's first facet under a zero
+basis (in the facet2vertex backward too).  A dense call runs the context's
+cached full selection, whose rows are the output table already; ROI-masked
+detection (:mod:`smmn.anomaly`) runs partial ones, which
+:meth:`RowSelection.table` spreads over the table.  The other reads (ring
+slots in the vertex2facet backward, cluster members) gather through a
+padded table whose -1 pads read an appended zero or -inf row.
 """
 
 from dataclasses import dataclass
@@ -107,11 +111,14 @@ class ConvContext:
     """Precomputed one-ring structure of one mesh at one filter degree.
 
     ``slots`` (D, V) is the mesh's one-ring table, slot-major: the corner
-    id 3f + j in ring slot d of vertex v, or -1.  ``slot_facets`` holds
-    the facet ids and ``slot_basis`` (D, V, K) the filter basis divided
-    by the vertex degree (slot sums are then facet2vertex's means), zero
-    at the pads.  ``corner_slot[3f + j]`` is the flat index of corner j
-    of facet f in ``slots``; it folds slot arrays back onto facets.
+    id 3f + j in ring slot d of vertex v, or -1.  ``slot_basis`` (D, V, K)
+    is the filter basis divided by the vertex degree (slot sums are then
+    facet2vertex's means), zero at the pads.  ``slot_facets`` holds the
+    facet ids; a pad repeats the vertex's first facet, so it reads a row
+    the vertex reads anyway, and adds nothing.  ``corner_slot[3f + j]``
+    is the flat index of corner j of facet f in ``slots``; it folds slot
+    arrays back onto facets.  :meth:`full_selection` caches the
+    selections of dense calls.
     """
 
     def __init__(self, mesh, l_max):
@@ -125,7 +132,7 @@ class ConvContext:
         )  # (3, K)
 
         slots = self.slots = np.ascontiguousarray(mesh.one_ring.T)  # (D, V)
-        self.slot_facets = slots // 3  # the pads stay -1
+        self.slot_facets = np.where(slots >= 0, slots, slots[0]) // 3
         # Sorting the flat table puts the pads first, then corners 0, 1, ...
         self.corner_slot = np.argsort(slots, axis=None)[(slots < 0).sum():]
 
@@ -135,6 +142,34 @@ class ConvContext:
         weight = np.where(slots >= 0, 1.0 / (slots >= 0).sum(axis=0), 0.0)
         self.slot_basis = filter_basis(l_max, theta, phi)[slots]
         self.slot_basis *= weight[..., None]
+        self._full = {}  # batch size -> full_selection
+
+    def select(self, facets, vertices):
+        """The (facet, vertex) :class:`RowSelection` pair of an (F, B) facet
+        and a (V, B) vertex mask, which :func:`block_forward` takes."""
+        batch = facets.shape[1]
+        pairs = np.flatnonzero(facets)
+        f, b = np.divmod(pairs, batch)
+        facet_rows = RowSelection(facets, pairs, self.corners[:, f] * batch + b)
+        pairs = np.flatnonzero(vertices)
+        counts = vertices.sum(axis=1)
+        active = np.flatnonzero(counts)
+        valid = np.arange(counts.max(initial=0)) < counts[active, None]
+        ids = np.zeros(valid.shape, dtype=np.int64)
+        ids[valid] = pairs % batch
+        if len(active) == self.num_vertices:
+            active = slice(None)  # a view of slot_basis, not a copy
+        return facet_rows, RowSelection(
+            vertices, pairs, self.slot_facets[:, active, None] * batch + ids,
+            None if valid.all() else valid, active)
+
+    def full_selection(self, batch):
+        """:meth:`select` of every row at batch size ``batch``, which a
+        dense call runs; built once per batch size."""
+        if batch not in self._full:
+            self._full[batch] = self.select(np.ones((self.num_facets, batch), bool),
+                                            np.ones((self.num_vertices, batch), bool))
+        return self._full[batch]
 
 
 def conv_context(mesh, l_max):
@@ -169,72 +204,78 @@ def _padded_rows(x, fill):
     return np.concatenate([rows, np.full((1,) + rows.shape[1:], fill)])
 
 
-def _mix(rows, weights):
-    """(N, B, in) rows times an (in, out) matrix, as one 2-D GEMM."""
-    n, batch, c_in = rows.shape
-    return (rows.reshape(n * batch, c_in) @ weights).reshape(n, batch, -1)
+def _flat(x):
+    """The (N·B, C) rows of a (B, C, N) array: entry (n, b) is row n * B + b."""
+    return _rows(x).reshape(-1, x.shape[1])
 
 
 class RowSelection:
-    """The entries of an (N, B) row table that a forward core computes.
+    """The entries of an (N, B) row table that a forward core computes, and
+    the flat rows n * B + b of its input that it reads through ``gather``.
 
-    ``mask`` is the (N, B) boolean table and ``pairs`` the flat indices
-    n * B + b of its True entries, in row-major order.  ``active`` lists
-    the rows holding any entry; ``batch`` (len(active), n_max) holds each
-    active row's batch ids in ascending order, padded with 0 where
-    ``valid`` is False, so its valid entries read in row-major order are
-    ``pairs`` again.
+    ``mask`` is the (N, B) boolean table, ``pairs`` its True entries
+    n * B + b in row-major order, and ``full`` says every entry is True.
+    :meth:`ConvContext.select` builds them.  For vertex2facet,
+    ``gather[j]`` reads corner j of each pair's facet.  For facet2vertex,
+    ``gather[d]`` reads ring slot d of each active vertex at its selected
+    batch ids, padded to one width; ``valid`` marks the ids that are pairs
+    (None if none is padding), and ``active`` indexes the active vertices
+    (a full slice if every vertex is active).
     """
 
-    def __init__(self, mask):
+    def __init__(self, mask, pairs, gather, valid=None, active=None):
         self.mask = mask
-        self.pairs = np.flatnonzero(mask)
-        counts = mask.sum(axis=1)
-        self.active = np.flatnonzero(counts)
-        self.valid = np.arange(counts.max(initial=0)) < counts[self.active, None]
-        self.batch = np.zeros(self.valid.shape, dtype=np.int64)
-        self.batch[self.valid] = self.pairs % mask.shape[1]
+        self.pairs = pairs
+        self.full = len(pairs) == mask.size
+        self.gather, self.valid, self.active = gather, valid, active
 
+    def result(self, picked):
+        """A core's output from its computed rows: the (B, C, N) table for
+        the full selection, else the (C, P) rows that :meth:`table` takes."""
+        if self.valid is not None:
+            picked = picked[self.valid]
+        return _cols(picked.reshape((self.mask.shape if self.full else (-1,))
+                                    + picked.shape[-1:]))
 
-def v2f_forward_core(ctx, x, coeffs, *, rows=None, fill=np.nan):
-    """Facet features; with ``rows`` (a :class:`RowSelection` of the
-    (F, B) table) only its (facet, batch) pairs, three GEMMs on their
-    gathered corner rows, and ``fill`` (broadcast to the (F, B, out) row
-    table) everywhere else."""
-    fj = np.einsum("oik,jk->joi", coeffs, ctx.v2f_basis)
-    x_rows = _rows(x)
-    if rows is None:
-        out = _mix(x_rows[ctx.corners[0]], fj[0].T)
-        out += _mix(x_rows[ctx.corners[1]], fj[1].T)
-        out += _mix(x_rows[ctx.corners[2]], fj[2].T)
+    def table(self, result, base=None):
+        """The (B, C, N) table of a core's ``result``, in which an entry
+        outside a partial selection is the row of ``base``, a (1, C, N)
+        output of the same core, or NaN without one."""
+        if self.full:
+            return result
+        out = np.empty(self.mask.shape + result.shape[:1])
+        out[...] = np.nan if base is None else _rows(base)
+        out.reshape(-1, len(result))[self.pairs] = _rows(result)
         return _cols(out)
-    num_v, batch, c_in = x_rows.shape
-    flat = x_rows.reshape(num_v * batch, c_in)
-    facets, b = np.divmod(rows.pairs, batch)
-    picked = flat[ctx.corners[0][facets] * batch + b] @ fj[0].T
-    picked += flat[ctx.corners[1][facets] * batch + b] @ fj[1].T
-    picked += flat[ctx.corners[2][facets] * batch + b] @ fj[2].T
-    out = np.empty((ctx.num_facets, batch, len(coeffs)))
-    out[...] = fill
-    out.reshape(-1, len(coeffs))[rows.pairs] = picked
-    return _cols(out)
+
+
+def v2f_forward_core(ctx, x, coeffs, *, rows=None):
+    """Facet features at the (facet, batch) pairs of ``rows``, a
+    :class:`RowSelection` of the (F, B) table (every pair by default):
+    three GEMMs on the gathered corner rows."""
+    rows = rows or ctx.full_selection(x.shape[0])[0]
+    fj = np.einsum("oik,jk->joi", coeffs, ctx.v2f_basis)
+    flat = _flat(x)
+    picked = flat.take(rows.gather[0], axis=0) @ fj[0].T
+    picked += flat.take(rows.gather[1], axis=0) @ fj[1].T
+    picked += flat.take(rows.gather[2], axis=0) @ fj[2].T
+    return rows.result(picked)
 
 
 def v2f_backward_core(ctx, coeffs, x, grad_out):
     fj = np.einsum("oik,jk->joi", coeffs, ctx.v2f_basis)
-    rows = _rows(x)
     batch, out_ch, num_f = grad_out.shape
-    dy = _rows(grad_out).reshape(num_f * batch, out_ch)
+    flat = _flat(x)
+    dy = _flat(grad_out)  # (F·B, out)
     # Row 3f + j is corner j's share of facet f's gradient; the zero last
     # row is what the pads of ``slots`` gather.
-    contrib = np.empty((3 * num_f + 1, batch, rows.shape[2]))
+    contrib = np.empty((3 * num_f + 1, batch, flat.shape[1]))
     contrib[-1] = 0.0
     corner_rows = contrib[:-1].reshape(num_f, 3, batch, -1)
     grad_coeffs = np.zeros_like(coeffs)
-    for j in range(3):
+    for j, gather in enumerate(ctx.full_selection(batch)[0].gather):
         corner_rows[:, j] = (dy @ fj[j]).reshape(num_f, batch, -1)
-        xj = rows[ctx.corners[j]].reshape(num_f * batch, -1)
-        grad_coeffs += (dy.T @ xj)[:, :, None] * ctx.v2f_basis[j][None, None, :]
+        grad_coeffs += (dy.T @ flat.take(gather, axis=0))[:, :, None] * ctx.v2f_basis[j]
     grad_x = contrib[ctx.slots[0]]  # summed over the ring slots, in slot order
     for slot in ctx.slots[1:]:
         grad_x += contrib[slot]
@@ -248,45 +289,37 @@ def _filters(basis, coeffs):
 
 
 def f2v_forward_core(ctx, h, coeffs, *, rows=None):
-    """Vertex features; with ``rows`` (a :class:`RowSelection` of the
-    (V, B) table) only its (vertex, batch) pairs, each active vertex's
-    filters applied to its padded batch rows, and NaN everywhere else."""
+    """Vertex features at the (vertex, batch) pairs of ``rows``, a
+    :class:`RowSelection` of the (V, B) table (every pair by default):
+    each active vertex's filters applied to its gathered facet rows."""
+    rows = rows or ctx.full_selection(h.shape[0])[1]
+    flat = _flat(h)
     acc = 0.0  # summed one ring slot at a time, in slot order
-    if rows is None:
-        h_rows = _padded_rows(h, 0.0)  # (F + 1, B, in)
-        for basis, facets in zip(ctx.slot_basis, ctx.slot_facets):
-            acc += np.matmul(h_rows[facets], _filters(basis, coeffs).transpose(0, 2, 1))
-        return _cols(acc)  # (V, B, out)
-    num_f, batch, c_in = _rows(h).shape
-    flat = _rows(h).reshape(num_f * batch, c_in)
-    facets = ctx.slot_facets[:, rows.active]
-    # A pad reads the vertex's first facet, which its selected rows compute;
-    # the zero basis at the pads zeroes its filter.
-    facets = np.where(facets >= 0, facets, facets[0])
-    for basis, slot in zip(ctx.slot_basis[:, rows.active], facets):
-        picked = flat[slot[:, None] * batch + rows.batch]  # (V', n_max, in)
-        acc += np.matmul(picked, _filters(basis, coeffs).transpose(0, 2, 1))
-    out = np.full((ctx.num_vertices, batch, len(coeffs)), np.nan)
-    out.reshape(-1, len(coeffs))[rows.pairs] = acc[rows.valid]
-    return _cols(out)
+    for basis, gather in zip(ctx.slot_basis[:, rows.active], rows.gather):
+        acc += np.matmul(flat.take(gather, axis=0),
+                         _filters(basis, coeffs).transpose(0, 2, 1))
+    return rows.result(acc)
 
 
 def f2v_backward_core(ctx, coeffs, h, grad_out):
     out_ch, c_in, k = coeffs.shape
-    rows = _padded_rows(h, 0.0)  # (F + 1, B, in)
+    batch = h.shape[0]
+    flat = _flat(h)
     dv = np.ascontiguousarray(_rows(grad_out))  # (V, B, out)
     grad_coeffs = 0.0  # (out * in, K)
-    dhe = np.empty(ctx.slots.shape + rows.shape[1:])  # (D, V, B, in)
-    for d, (basis, facets) in enumerate(zip(ctx.slot_basis, ctx.slot_facets)):
-        outer = np.matmul(dv.transpose(0, 2, 1), rows[facets])  # (V, out, in)
+    dhe = np.empty(ctx.slots.shape + (batch, c_in))  # (D, V, B, in)
+    for d, (basis, gather) in enumerate(
+            zip(ctx.slot_basis, ctx.full_selection(batch)[1].gather)):
+        # (V, out, in); the gathered rows are a temporary, freed at once.
+        outer = np.matmul(dv.transpose(0, 2, 1), flat.take(gather, axis=0))
         grad_coeffs += outer.reshape(-1, out_ch * c_in).T @ basis
         np.matmul(dv, _filters(basis, coeffs), out=dhe[d])
     # Flat row corner_slot[3f + j] of dhe is corner j of facet f.
-    flat = dhe.reshape((-1,) + rows.shape[1:])
+    slot_rows = dhe.reshape(-1, batch, c_in)
     corners = ctx.corner_slot.reshape(-1, 3)
-    grad_h = flat[corners[:, 0]]
-    grad_h += flat[corners[:, 1]]
-    grad_h += flat[corners[:, 2]]
+    grad_h = slot_rows[corners[:, 0]]
+    grad_h += slot_rows[corners[:, 1]]
+    grad_h += slot_rows[corners[:, 2]]
     return _cols(grad_h), grad_coeffs.reshape(out_ch, c_in, k)
 
 
@@ -305,19 +338,19 @@ def block_forward(ctx, h, vf, fv, bias, activate, *, rows=None, base=None):
     """vertex2facet -> facet2vertex -> bias -> optional leaky ReLU.
 
     Returns the output and what :func:`block_backward` needs, each in the
-    layout of the cores' outputs.  ``rows``, a pair of
-    :class:`RowSelection` of the (F, B) facet and (V, B) vertex tables,
-    computes only those entries.  The others are NaN, or, given ``base``
-    (what this block saved on a one-row input that agrees with every
-    row of ``h`` outside the selection's reach), that input's values.
+    layout of the cores' outputs.  ``rows``, the (facet, vertex)
+    :class:`RowSelection` pair, defaults to the context's full selections.
+    Outside a partial selection, the facet and pre-activation tables hold
+    the rows of ``base`` (what this block saved on a one-row input that
+    agrees with every row of ``h`` outside the selection's reach), or NaN
+    without one (:meth:`RowSelection.table`).
     """
-    facet_rows, vertex_rows = rows or (None, None)
-    g = v2f_forward_core(ctx, h, vf, rows=facet_rows,
-                         fill=np.nan if base is None else _rows(base[1]))
+    facet_rows, vertex_rows = rows or ctx.full_selection(h.shape[0])
+    base_g, base_pre = (None, None) if base is None else base[1:3]
+    g = facet_rows.table(v2f_forward_core(ctx, h, vf, rows=facet_rows), base_g)
     pre = f2v_forward_core(ctx, g, fv, rows=vertex_rows)
-    pre += bias[None, :, None]
-    if base is not None:
-        np.copyto(_rows(pre), _rows(base[2]), where=~vertex_rows.mask[..., None])
+    pre += bias[:, None]
+    pre = vertex_rows.table(pre, base_pre)
     out = leaky_relu(pre) if activate else pre
     return out, (h, g, pre, activate)
 
@@ -367,20 +400,22 @@ def unpool_backward_core(grad_out, clustering):
 # Spec-level operators on feature maps.
 
 
-def _check_vertex_input(mesh, x, bank):
+def _check_input(bank, x, count, what):
+    """ShapeError unless ``x`` has the bank's input channels and ``count``
+    rows, ``what`` naming the map and its rows."""
     if bank.in_channels != x.channels:
         raise ShapeError(
             f"filter bank expects {bank.in_channels} channels, got {x.channels}"
         )
-    if x.num_vertices != mesh.num_vertices:
+    if x.values.shape[1] != count:
         raise ShapeError(
-            f"feature map has {x.num_vertices} vertices, mesh has {mesh.num_vertices}"
+            f"{what[0]} has {x.values.shape[1]} {what[1]}, mesh has {count}"
         )
 
 
 def vertex2facet(mesh, x, bank):
     """Aggregate corner features into facet features with fixed-angle filters."""
-    _check_vertex_input(mesh, x, bank)
+    _check_input(bank, x, mesh.num_vertices, ("feature map", "vertices"))
     ctx = conv_context(mesh, bank.l_max)
     out = v2f_forward_core(ctx, x.values[None], bank.coeffs)[0]
     return FacetFeatureMap(out, level=x.level)
@@ -388,14 +423,7 @@ def vertex2facet(mesh, x, bank):
 
 def facet2vertex(mesh, g, bank):
     """Average filter-weighted incident facet features onto each vertex."""
-    if bank.in_channels != g.channels:
-        raise ShapeError(
-            f"filter bank expects {bank.in_channels} channels, got {g.channels}"
-        )
-    if g.num_facets != mesh.num_facets:
-        raise ShapeError(
-            f"facet map has {g.num_facets} facets, mesh has {mesh.num_facets}"
-        )
+    _check_input(bank, g, mesh.num_facets, ("facet map", "facets"))
     ctx = conv_context(mesh, bank.l_max)
     out = f2v_forward_core(ctx, g.values[None], bank.coeffs)
     return FeatureMap(out[0], level=g.level)
@@ -414,8 +442,12 @@ def vertex2vertex(mesh, x, bank_vf, bank_fv, bias=None, activation="leaky_relu")
         )
     if activation not in ("leaky_relu", "linear"):
         raise UsageError(f"unknown activation {activation!r}")
-    _check_vertex_input(mesh, x, bank_vf)
-    bias = np.zeros(bank_fv.out_channels) if bias is None else np.asarray(bias, float)
+    _check_input(bank_vf, x, mesh.num_vertices, ("feature map", "vertices"))
+    out_ch = bank_fv.out_channels
+    bias = np.zeros(out_ch) if bias is None else np.asarray(bias, float)
+    if bias.shape != (out_ch,) or not np.all(np.isfinite(bias)):
+        raise ShapeError(f"bias must be finite with shape ({out_ch},), got "
+                         f"shape {bias.shape}")
     out, _ = block_forward(conv_context(mesh, bank_vf.l_max), x.values[None],
                            bank_vf.coeffs, bank_fv.coeffs, bias,
                            activation == "leaky_relu")

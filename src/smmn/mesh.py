@@ -12,7 +12,8 @@ Variable-size neighbourhoods (the facets around a vertex or an edge,
 the members of a pooling cluster) are (N, D) tables padded with -1,
 all built by :func:`padded_groups`; a reduction over a neighbourhood
 is a gather through its table, with an identity element appended for
-the pads to gather, and a sum or max over the D columns.  All
+the pads to gather (facet2vertex instead points its pads at a real
+facet under a zero weight), and a sum or max over the D columns.  All
 structures are immutable after construction and safe to share across
 threads.
 """

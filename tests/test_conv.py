@@ -213,6 +213,17 @@ def test_channel_mismatch_raises(rng):
         conv.vertex2vertex(m, x2, spharm.FilterBank.random(1, 2, 4, rng), bank_fv)
 
 
+@pytest.mark.parametrize("bias", [np.zeros(2), np.zeros((3, 1)), np.zeros(4),
+                                  np.array([0.0, np.nan, 0.0])])
+def test_vertex2vertex_bias_must_be_finite_per_output_channel(bias, rng):
+    m = mesh.icosphere(0)
+    x = conv.FeatureMap(rng.standard_normal((2, m.num_vertices)), level=0)
+    bank_vf = spharm.FilterBank.random(3, 2, 4, rng)
+    bank_fv = spharm.FilterBank.random(3, 4, 3, rng)
+    with pytest.raises(ShapeError, match=r"\(3,\)"):
+        conv.vertex2vertex(m, x, bank_vf, bank_fv, bias=bias)
+
+
 def test_determinism(rng):
     m = mesh.icosphere(1)
     bank = spharm.FilterBank.random(3, 2, 2, rng)
@@ -479,28 +490,44 @@ def test_cores_give_equal_arrays_on_either_layout(core, lead):
             np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("surface", ["icosphere", "hull"])
 @pytest.mark.parametrize("batch", [1, 5])
-def test_forward_cores_compute_only_selected_rows(batch):
+def test_forward_cores_compute_only_selected_rows(batch, surface, request):
     # With a RowSelection the forward cores give the dense values on the
-    # selected (row, batch) entries and their fill elsewhere: ``fill`` for
-    # vertex2facet, NaN for facet2vertex.
-    ctx = conv.conv_context(mesh.icosphere(2), 3)
+    # selected (row, batch) entries, reading no other input row, and its
+    # table holds the base rows elsewhere, or NaN without a base.  The hull
+    # has vertices of degree above 6, so its facet2vertex pads differ by
+    # vertex.
+    m = request.getfixturevalue(surface) if surface == "hull" else mesh.icosphere(2)
+    ctx = conv.conv_context(m, 3)
     rng = np.random.default_rng(12)
     k = spharm.num_coefficients(3)
     x = rng.standard_normal((batch, 4, ctx.num_vertices))
     h = rng.standard_normal((batch, 3, ctx.num_facets))
     vf, fv = rng.standard_normal((3, 4, k)), rng.standard_normal((2, 3, k))
-    fill = rng.standard_normal((ctx.num_facets, 1, 3))
-    for core, arg, coeffs, num, kw, unselected in [
-        (conv.v2f_forward_core, x, vf, ctx.num_facets, {"fill": fill},
-         np.moveaxis(fill, 0, -1)),
-        (conv.f2v_forward_core, h, fv, ctx.num_vertices, {}, np.nan),
-    ]:
-        mask = rng.random((num, batch)) < 0.3
+    base = rng.standard_normal((1, 3, ctx.num_facets))
+    masks = [rng.random((n, batch)) < 0.3 for n in (ctx.num_facets, ctx.num_vertices)]
+    for mask in masks:
         mask[0] = False  # one row with no entry, one with every entry
         mask[1] = True
+    facet_rows, vertex_rows = ctx.select(*masks)
+    for core, rows, arg, coeffs, fill, unselected in [
+        (conv.v2f_forward_core, facet_rows, x, vf, base, base),
+        (conv.f2v_forward_core, vertex_rows, h, fv, None, np.nan),
+    ]:
+        # The input rows a selected entry reads: its facet's corners, or
+        # its vertex's incident facets.  NaN in every other row must not
+        # reach the selected entries.
+        mask = rows.mask
+        if core is conv.v2f_forward_core:
+            read = np.zeros((ctx.num_vertices, batch), bool)
+            for corner in ctx.corners:
+                np.logical_or.at(read, corner, mask)
+        else:
+            read = mask[ctx.corners].any(axis=0)
         dense = core(ctx, arg, coeffs)
-        sparse = core(ctx, arg, coeffs, rows=conv.RowSelection(mask), **kw)
+        masked_arg = np.where(read.T[:, None, :], arg, np.nan)
+        sparse = rows.table(core(ctx, masked_arg, coeffs, rows=rows), fill)
         sel = mask.T[:, None, :].repeat(len(coeffs), axis=1)
         np.testing.assert_allclose(sparse[sel], dense[sel], rtol=1e-13, atol=1e-13)
         expected = np.broadcast_to(unselected, dense.shape)
