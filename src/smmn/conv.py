@@ -30,9 +30,12 @@ cost no copy.
 A forward core computes the (row, batch) entries of a :class:`RowSelection`,
 reading its input rows through the selection's flat indices n * B + b:
 vertex2facet as three GEMMs on the facets' corner rows, facet2vertex with
-each active vertex's filters on its facet rows, one ring slot at a time.
-A slot past a vertex's degree reads the vertex's first facet under a zero
-basis (in the facet2vertex backward too).  A dense call runs the context's
+each active vertex's filters on its facet rows.  facet2vertex, forward and
+backward, runs over vertex chunks and, within a chunk, one ring slot at a
+time, so its (rows, out, in) filter temporaries follow a fixed byte budget,
+not the mesh; each vertex still sums its slots in slot order.  A slot past
+a vertex's degree reads the vertex's first facet under a zero basis (in
+the facet2vertex backward too).  A dense call runs the context's
 cached full selection, whose rows are the output table already; ROI-masked
 detection (:mod:`smmn.anomaly`) runs partial ones, which
 :meth:`RowSelection.table` spreads over the table.  The other reads (ring
@@ -52,6 +55,10 @@ LEAKY_SLOPE = 0.01
 
 # Fixed vertex2facet filter angles for corners (h1, h2, h3).
 _V2F_ANGLES = ((np.pi / 2.0, 0.0), (np.pi / 2.0, np.pi / 2.0), (0.0, 0.0))
+
+# Bytes of one (rows, out, in) facet2vertex temporary: the filters of a
+# vertex chunk at one ring slot, or the backward's outer products.
+_F2V_CHUNK_BYTES = 8 * 2**20
 
 
 @dataclass
@@ -118,7 +125,8 @@ class ConvContext:
     the vertex reads anyway, and adds nothing.  ``corner_slot[3f + j]``
     is the flat index of corner j of facet f in ``slots``; it folds slot
     arrays back onto facets.  :meth:`full_selection` caches the
-    selections of dense calls.
+    selections of dense calls.  The facet2vertex cores slice these tables
+    by vertex chunk, so a chunk reads its own vertices' slots only.
     """
 
     def __init__(self, mesh, l_max):
@@ -283,37 +291,64 @@ def v2f_backward_core(ctx, coeffs, x, grad_out):
 
 
 def _filters(basis, coeffs):
-    """Filter matrices F(theta, phi) at (V, K) basis rows, as (V, out, in)."""
+    """Filter matrices F(theta, phi) at (V, K) basis rows, as (V, out, in).
+
+    One GEMM, whose rows do not depend on how many there are; a single row
+    is computed as two, since numpy runs a one-row product as a GEMV,
+    which rounds otherwise.
+    """
     out_ch, in_ch, k = coeffs.shape
-    return (basis @ coeffs.reshape(out_ch * in_ch, k).T).reshape(-1, out_ch, in_ch)
+    rows = basis if len(basis) != 1 else basis.repeat(2, axis=0)
+    flat = rows @ coeffs.reshape(out_ch * in_ch, k).T
+    return flat[:len(basis)].reshape(-1, out_ch, in_ch)
+
+
+def _vertex_chunks(count, out_ch, in_ch):
+    """Consecutive slices of ``count`` vertices, each short enough that one
+    (rows, out, in) filter or outer-product stack fits _F2V_CHUNK_BYTES."""
+    step = max(1, _F2V_CHUNK_BYTES // (8 * out_ch * in_ch))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
 def f2v_forward_core(ctx, h, coeffs, *, rows=None):
     """Vertex features at the (vertex, batch) pairs of ``rows``, a
     :class:`RowSelection` of the (V, B) table (every pair by default):
-    each active vertex's filters applied to its gathered facet rows."""
+    each active vertex's filters applied to its gathered facet rows, in
+    vertex chunks (:func:`_vertex_chunks`), summed over the ring slots in
+    slot order."""
     rows = rows or ctx.full_selection(h.shape[0])[1]
     flat = _flat(h)
-    acc = 0.0  # summed one ring slot at a time, in slot order
-    for basis, gather in zip(ctx.slot_basis[:, rows.active], rows.gather):
-        acc += np.matmul(flat.take(gather, axis=0),
-                         _filters(basis, coeffs).transpose(0, 2, 1))
-    return rows.result(acc)
+    slot_basis = ctx.slot_basis[:, rows.active]
+    picked = np.zeros(rows.gather.shape[1:] + coeffs.shape[:1])  # (A, W, out)
+    for part in _vertex_chunks(len(picked), *coeffs.shape[:2]):
+        acc = picked[part]
+        for basis, gather in zip(slot_basis[:, part], rows.gather[:, part]):
+            acc += np.matmul(flat.take(gather, axis=0),
+                             _filters(basis, coeffs).transpose(0, 2, 1))
+    return rows.result(picked)
 
 
 def f2v_backward_core(ctx, coeffs, h, grad_out):
+    """Gradients of :func:`f2v_forward_core` on the full selection, (input,
+    coeffs), in the forward's vertex chunks and slot order; the coefficient
+    gradient sums the chunks in vertex order."""
     out_ch, c_in, k = coeffs.shape
     batch = h.shape[0]
     flat = _flat(h)
     dv = np.ascontiguousarray(_rows(grad_out))  # (V, B, out)
+    gathers = ctx.full_selection(batch)[1].gather  # (D, V, B)
     grad_coeffs = 0.0  # (out * in, K)
     dhe = np.empty(ctx.slots.shape + (batch, c_in))  # (D, V, B, in)
-    for d, (basis, gather) in enumerate(
-            zip(ctx.slot_basis, ctx.full_selection(batch)[1].gather)):
-        # (V, out, in); the gathered rows are a temporary, freed at once.
-        outer = np.matmul(dv.transpose(0, 2, 1), flat.take(gather, axis=0))
-        grad_coeffs += outer.reshape(-1, out_ch * c_in).T @ basis
-        np.matmul(dv, _filters(basis, coeffs), out=dhe[d])
+    for part in _vertex_chunks(len(dv), out_ch, c_in):
+        dvp = dv[part]
+        for d, (basis, gather) in enumerate(zip(ctx.slot_basis[:, part],
+                                                gathers[:, part])):
+            # The (rows, out, in) outer products and the gathered rows are
+            # temporaries, freed before the filters are built.
+            outer = np.matmul(dvp.transpose(0, 2, 1), flat.take(gather, axis=0))
+            grad_coeffs += outer.reshape(-1, out_ch * c_in).T @ basis
+            del outer
+            np.matmul(dvp, _filters(basis, coeffs), out=dhe[d, part])
     # Flat row corner_slot[3f + j] of dhe is corner j of facet f.
     slot_rows = dhe.reshape(-1, batch, c_in)
     corners = ctx.corner_slot.reshape(-1, 3)

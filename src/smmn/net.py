@@ -97,6 +97,14 @@ class TrainConfig:
             raise ConfigurationError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
+        if self.patience < 1:
+            raise ConfigurationError(f"patience must be >= 1, got {self.patience}")
+        for name in ("lr", "lr_min", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
+        if self.lr_min > self.lr:
+            raise ConfigurationError(f"lr_min {self.lr_min} exceeds lr {self.lr}")
 
 
 @dataclass
@@ -496,7 +504,12 @@ def backward(model, batch):
 
 
 class AdamW:
-    """Adam with decoupled weight decay; state keyed by parameter name."""
+    """Adam with decoupled weight decay; state keyed by parameter name.
+
+    :meth:`step` updates the moments and the parameters in place, with two
+    scratch arrays the size of one parameter, in the operation order of
+    the textbook expression, so it gives the same bits.
+    """
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1 = beta1
@@ -507,16 +520,27 @@ class AdamW:
         self.v = {name: np.zeros_like(arr) for name, arr in params.items()}
 
     def step(self, params, grads, lr, weight_decay):
+        """p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p), with
+        m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g * g."""
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         for name, p in params.items():
-            g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            p -= lr * (m_hat / (np.sqrt(v_hat) + self.eps) + weight_decay * p)
+            g, m, v = grads[name], self.m[name], self.v[name]
+            a, b = np.empty_like(p), np.empty_like(p)
+            m *= self.beta1
+            m += np.multiply(1.0 - self.beta1, g, out=a)
+            v *= self.beta2
+            np.multiply(1.0 - self.beta2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, bc1, out=a)  # m_hat
+            np.divide(v, bc2, out=b)  # v_hat
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            a += np.multiply(weight_decay, p, out=b)
+            a *= lr
+            p -= a
 
 
 @dataclass

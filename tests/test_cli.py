@@ -391,6 +391,12 @@ def _exit_1_without_traceback(capsys, *args):
     ("L = -1", "l_max"),
     ("channels = 0", "channels"),
     ("channels = 2,x", "channels"),
+    ("lr = nan", "lr must"),
+    ("lr = -0.001", "lr must"),
+    ("lr_min = -1e-6", "lr_min must"),
+    ("lr = 1e-4\nlr_min = 1e-3", "lr_min"),
+    ("weight_decay = inf", "weight_decay"),
+    ("patience = -3", "patience"),
 ])
 def test_train_config_bad_value_exits_1(tmp_path, capsys, line, named):
     (tmp_path / "synth.cfg").write_text(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 from hypothesis import given, strategies as st
 import numpy as np
@@ -532,6 +533,71 @@ def test_forward_cores_compute_only_selected_rows(batch, surface, request):
         np.testing.assert_allclose(sparse[sel], dense[sel], rtol=1e-13, atol=1e-13)
         expected = np.broadcast_to(unselected, dense.shape)
         np.testing.assert_array_equal(sparse[~sel], expected[~sel])
+
+
+@pytest.mark.parametrize("surface", ["icosphere", "hull"])
+@pytest.mark.parametrize("chunk_rows", [1, 7, 25])
+def test_f2v_vertex_chunks_match_one_chunk(chunk_rows, surface, request,
+                                           monkeypatch):
+    # Chunking the vertices changes no forward output or input gradient
+    # bit, full or partial selection; the coefficient gradient sums the
+    # chunks' partial sums, so it agrees to rounding.  Budgets of 1, 7 and
+    # 25 filter rows give 1-vertex chunks and ragged last chunks.
+    m = request.getfixturevalue(surface) if surface == "hull" else mesh.icosphere(2)
+    ctx = conv.conv_context(m, 3)
+    rng = np.random.default_rng(13)
+    batch, out_ch, in_ch = 3, 2, 3
+    c = rng.standard_normal((out_ch, in_ch, spharm.num_coefficients(3)))
+    h = rng.standard_normal((batch, in_ch, ctx.num_facets))
+    z = rng.standard_normal((batch, out_ch, ctx.num_vertices))
+    mask = rng.random((ctx.num_vertices, batch)) < 0.3
+    mask[0], mask[1] = False, True
+    _, partial = ctx.select(np.ones((ctx.num_facets, batch), bool), mask)
+
+    def calls():
+        return (conv.f2v_forward_core(ctx, h, c),
+                conv.f2v_forward_core(ctx, h, c, rows=partial),
+                *conv.f2v_backward_core(ctx, c, h, z))
+
+    one_chunk = calls()
+    assert len(conv._vertex_chunks(ctx.num_vertices, out_ch, in_ch)) == 1
+    monkeypatch.setattr(conv, "_F2V_CHUNK_BYTES", 8 * out_ch * in_ch * chunk_rows)
+    parts = conv._vertex_chunks(ctx.num_vertices, out_ch, in_ch)
+    sizes = [len(range(ctx.num_vertices)[part]) for part in parts]
+    assert max(sizes) == chunk_rows and sum(sizes) == ctx.num_vertices
+    assert sizes[-1] < chunk_rows or chunk_rows == 1
+    chunked = calls()
+    for a, b in zip(one_chunk[:3], chunked[:3]):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_allclose(chunked[3], one_chunk[3],
+                               rtol=0, atol=1e-13 * np.abs(one_chunk[3]).max())
+    fwd, grad_h, grad_c = chunked[0], chunked[2], chunked[3]
+    assert np.sum(fwd * z) == pytest.approx(np.sum(h * grad_h), rel=1e-12)
+    assert np.sum(fwd * z) == pytest.approx(np.sum(c * grad_c), rel=1e-12)
+
+
+def test_f2v_calls_never_hold_a_full_mesh_filter():
+    # At order 4 and 32x32 channels one (V, out, in) filter stack is 20 MiB;
+    # the cores build their filters in vertex chunks of at most 8 MiB, so
+    # no call peaks at the size of a full-mesh stack.
+    m = mesh.icosphere(4)
+    ctx = conv.conv_context(m, 3)
+    rng = np.random.default_rng(14)
+    c = rng.standard_normal((32, 32, spharm.num_coefficients(3)))
+    h = rng.standard_normal((1, 32, ctx.num_facets))
+    z = rng.standard_normal((1, 32, ctx.num_vertices))
+    full_filter = ctx.num_vertices * c[..., 0].nbytes
+    assert full_filter > 20 * 2**20
+    for call in (lambda: conv.f2v_forward_core(ctx, h, c),
+                 lambda: conv.f2v_backward_core(ctx, c, h, z)):
+        call()  # builds the cached full selection outside the trace
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full_filter
 
 
 def test_feature_map_validation():

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -325,6 +326,40 @@ def test_cosine_schedule_endpoints():
     assert 1e-6 < mid < 1e-3
 
 
+def test_adamw_step_is_the_textbook_update_in_place():
+    # Five steps with weight decay give the bits of the textbook expression,
+    # and a step holds at most 2.5 parameter sizes beyond the state.
+    rng = np.random.default_rng(3)
+    shapes = {"big": (512, 1024), "small": (3, 4, 5)}  # "big" is 4 MiB
+    params = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    ref = {name: p.copy() for name, p in params.items()}
+    m = {name: np.zeros(shape) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape) for name, shape in shapes.items()}
+    opt = net.AdamW(params)
+    b1, b2, eps, wd = opt.beta1, opt.beta2, opt.eps, 0.05
+    for t in range(1, 6):
+        lr = 1e-2 / t
+        grads = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        for name, p in ref.items():
+            g = grads[name]
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            v[name] = b2 * v[name] + (1.0 - b2) * g * g
+            m_hat = m[name] / (1.0 - b1**t)
+            v_hat = v[name] / (1.0 - b2**t)
+            p -= lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * p)
+        tracemalloc.start()
+        try:
+            opt.step(params, grads, lr, wd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * params["big"].nbytes
+        for name in shapes:
+            np.testing.assert_array_equal(params[name], ref[name])
+            np.testing.assert_array_equal(opt.m[name], m[name])
+            np.testing.assert_array_equal(opt.v[name], v[name])
+
+
 def _make_dataset(order, n, seed):
     m = mesh.icosphere(order)
     theta, phi = mesh.sphere_angles(m.vertices)
@@ -441,6 +476,11 @@ def test_train_config_validation():
         net.TrainConfig(mask_fraction=1.5)
     with pytest.raises(ConfigurationError):
         net.TrainConfig(epochs=0)
+    for bad in [dict(lr=math.nan), dict(lr=-1e-3), dict(lr_min=-1e-6),
+                dict(weight_decay=math.inf), dict(weight_decay=-0.1),
+                dict(patience=0), dict(lr=1e-4, lr_min=1e-3)]:
+        with pytest.raises(ConfigurationError, match=list(bad)[-1]):
+            net.TrainConfig(**bad)
 
 
 # -- serialization ---------------------------------------------------------------
