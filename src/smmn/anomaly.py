@@ -14,15 +14,18 @@ deterministic: repeated runs give bit-identical reports.
 
 The R masked copies of a subject differ only near their ROIs, and each
 score reads only its ROI, so detection walks the plan once for all R
-rows and computes few of them.  The encoder runs on the unmasked
-subject (B = 1); each encoder block then recomputes, per ROI, only its
-support, the (vertex, ROI) rows that ROI's mask can reach, and copies
-the unmasked rows elsewhere.  Pools, the bottleneck and unpools run on
-all R rows.  Each decoder block computes only its demand, the rows that
-ROI's score reads through the blocks after it, and leaves the others
-NaN, so a read outside the demand makes the score non-finite and stops
-detection.  :func:`roi_tables` builds the supports and demands, once per
-cohort.  Scores equal those of one standalone masked forward pass per
+copies and computes few of their rows.  Each step computes only its
+selected (vertex, ROI) rows and keeps them as a compact (C, P) table, not
+as an (R, C, N) one.  In the encoder these are its support, the rows that
+ROI's mask can reach, and every encoder step also computes the unmasked
+subject's rows (the base, B = 1), which every other row equals and reads.
+A pool computes the coarse rows with a selected member; the bottleneck
+reads and writes every row of the coarsest level.  Each decoder step
+computes only its demand, the rows that ROI's score reads through the
+steps after it, and a read outside the demand reaches a NaN row, so it
+makes the score non-finite and stops detection.  :func:`roi_tables`
+builds the supports, the demands and each step's gather indices, once
+per cohort.  Scores equal those of one standalone masked forward pass per
 ROI up to float64 rounding, and exactly for a single ROI
 (:func:`detect_roi`).
 
@@ -50,10 +53,11 @@ import warnings
 
 import numpy as np
 
+from . import conv
 from .conv import block_forward, pool_max_core, unpool_core
 from .errors import DomainError, ShapeError, UsageError
 from .io import Cursor
-from .net import ContextVector, bottleneck_forward, masked_batch
+from .net import ContextVector, bottleneck_forward
 
 
 @dataclass
@@ -98,19 +102,23 @@ class RoiTables:
 
     ``vertices[r]`` are the vertices of ROI ``roi_ids[r]``.  ``rows`` maps
     each conv block's name to the (facet, vertex)
-    :class:`~smmn.conv.RowSelection` pair that the block computes: its
-    support in the encoder, its demand in the decoder.
+    :class:`~smmn.conv.RowSelection` pair that the block computes (its
+    support in the encoder, its demand in the decoder), and each pool
+    and unpool step of the plan to its selection.  ``scored[r]`` are the
+    rows of the walk's output that ROI r's score reads, one per vertex
+    of ``vertices[r]``.
     """
 
     roi_ids: list
     vertices: list
     rows: dict
+    scored: list
 
 
 def roi_tables(model, atlas, roi_ids):
     """The :class:`RoiTables` of the given ROIs.
 
-    Every table is an (N, R) boolean mask, one column per ROI, and each
+    Every mask is an (N, R) boolean table, one column per ROI, and each
     starts from the ROI's own vertices.  A block's facets are those with
     a corner in its mask, and the vertices with an incident facet among
     them are one ring wider.  The encoder walks the plan forward: a
@@ -118,8 +126,14 @@ def roi_tables(model, atlas, roi_ids):
     block's mask.  The decoder walks it backward from the output: a
     block computes its facets and its mask, and the wider ring is the
     demand on its input.  A pool or an unpool marks a coarse vertex when
-    any of its cluster's fine vertices is marked.  Each step is a gather
-    through a neighbour table.
+    any of its cluster's fine vertices is marked; the bottleneck reads and
+    writes every row.  Each step is a gather through a neighbour table.
+
+    Each step's selection then reads the rows the step before computed,
+    through its :meth:`~smmn.conv.RowSelection.positions`: an encoder
+    entry outside them reads the subject's unmasked row, which every
+    encoder step also computes, and a decoder entry the NaN row after
+    them (see :func:`_reconstruct`).
     """
     if atlas.num_vertices != model.num_input_vertices:
         raise ShapeError(f"atlas covers {atlas.num_vertices} vertices, model "
@@ -133,51 +147,71 @@ def roi_tables(model, atlas, roi_ids):
     roi_mask = atlas.labels[:, None] == np.asarray(roi_ids)[None, :]  # (V, R)
     plan = model.config.plan()
     mid = plan.index(("bottleneck",))
-    rows = {}
-    for encoder, steps in ((True, plan[:mid]), (False, plan[:mid:-1])):
+    masks = {mid: np.ones((model.config.bottleneck_vertices, len(roi_ids)), bool)}
+    for encoder, steps in ((True, range(mid)), (False, range(len(plan) - 1, mid, -1))):
         mask = roi_mask
-        for step in steps:
+        for i in steps:
+            step = plan[i]
             if step[0] == "block":
                 ctx = model.context_of(step[2])
                 facets = mask[ctx.corners].any(axis=0)  # (F, R)
                 reach = facets[ctx.slot_facets].any(axis=0)  # (V, R)
-                rows[step[1]] = ctx.select(facets, reach if encoder else mask)
+                masks[i] = facets, reach if encoder else mask
                 mask = reach
             else:
                 table = model.hierarchy.clustering(step[1]).table
                 # A last False row is what the -1 pads of the table read.
-                mask = np.pad(mask, ((0, 1), (0, 0)))[table].any(axis=1)
-    return RoiTables([int(r) for r in roi_ids], vertices, rows)
+                coarse = np.pad(mask, ((0, 1), (0, 0)))[table].any(axis=1)
+                masks[i], mask = coarse if encoder else mask, coarse
+    rows = {}
+    out = conv.RowSelection(roi_mask, None, True)  # the ROI-masked input
+    for i, step in enumerate(plan):
+        reads = out.positions()
+        if step[0] == "block":
+            rows[step[1]] = model.context_of(step[2]).select(*masks[i], reads, i < mid)
+            out = rows[step[1]][1]
+        elif step[0] == "bottleneck":
+            out = rows[step] = conv.gathering(masks[i], np.arange(len(masks[i])), reads)
+        else:
+            clustering = model.hierarchy.clustering(step[1])
+            pool = step[0] == "pool"
+            out = rows[step] = conv.gathering(
+                masks[i], clustering.table if pool else clustering.parent, reads, pool)
+    reads = out.positions()
+    scored = [reads[verts, r] for r, verts in enumerate(vertices)]
+    return RoiTables([int(r) for r in roi_ids], vertices, rows, scored)
 
 
 def _reconstruct(model, xn, ctxn, tables):
-    """Row r of the (R, C_in, V) reconstruction of the normalized subject
-    ``xn`` with ROI r masked: the sparse walk of the module docstring,
-    NaN wherever ROI r's score does not read it."""
+    """The (C_in, P + 1) rows that the scores of the normalized subject
+    ``xn`` read, rows ``tables.scored[r]`` being ROI r's reconstruction
+    with ROI r masked: the sparse walk of the module docstring.  Every
+    decoder step's rows end in a NaN row, which a read outside its demand
+    reaches."""
     p = model.params
-    base = xn[None]
-    h, _ = masked_batch(model, np.broadcast_to(xn, (len(tables.roi_ids),) + xn.shape),
-                        tables.vertices)
-    ctxn = np.repeat(ctxn[None], len(tables.roi_ids), axis=0)
+    num_rois = len(tables.roi_ids)
+    token = np.broadcast_to(p["mask_token"], (sum(map(len, tables.vertices)), len(xn)))
+    h = np.concatenate([token, xn.T]).T  # the ROI-masked rows, then the subject's
     encoding = True
     for step in model.config.plan():
+        rows = tables.rows[step[1] if step[0] == "block" else step]
         if step[0] == "block":
             _, name, order, _, _, activate = step
-            ctx = model.context_of(order)
-            weights = (p[f"{name}_vf"], p[f"{name}_fv"], p[f"{name}_b"], activate)
-            saved = None
-            if encoding:
-                base, saved = block_forward(ctx, base, *weights)
-            h, _ = block_forward(ctx, h, *weights, rows=tables.rows[name], base=saved)
+            h, _ = block_forward(model.context_of(order), h, p[f"{name}_vf"],
+                                 p[f"{name}_fv"], p[f"{name}_b"], activate, rows=rows)
         elif step[0] == "pool":
-            clustering = model.hierarchy.clustering(step[1])
-            base, _ = pool_max_core(base, clustering)
-            h, _ = pool_max_core(h, clustering)
+            h, _ = pool_max_core(h, model.hierarchy.clustering(step[1]), rows=rows)
         elif step[0] == "unpool":
-            h = unpool_core(h, model.hierarchy.clustering(step[1]))
+            h = unpool_core(h, model.hierarchy.clustering(step[1]), rows=rows)
         else:
+            # Every ROI's coarsest rows, as one (R, C, d) batch.
             encoding = False
-            h, _ = bottleneck_forward(model, h, ctxn)
+            batch = h.T.take(rows.gather, axis=0).reshape(rows.mask.shape + (-1,))
+            h, _ = bottleneck_forward(model, batch.transpose(1, 2, 0),
+                                      np.repeat(ctxn[None], num_rois, axis=0))
+            h = h.transpose(2, 0, 1).reshape(rows.gather.size, -1).T
+        if not encoding:
+            h = np.concatenate([h.T, np.full((1, len(h)), np.nan)]).T
     return h
 
 
@@ -192,13 +226,13 @@ def _detect(model, subject, atlas, tables, normalized):
     if not np.all(np.isfinite(subject.features)):
         raise DomainError(f"{who} has non-finite features")
     xn = model.normalize(subject.features)
-    xhat = _reconstruct(model, xn, model.normalize_context(subject.context), tables)
+    xhat = _reconstruct(model, xn, model.normalize_context(subject.context), tables).T
     scores = np.empty((len(tables.roi_ids), model.config.in_channels))
-    for row, verts in enumerate(tables.vertices):
-        resid = xhat[row] - xn
+    for row, (verts, reads) in enumerate(zip(tables.vertices, tables.scored)):
+        resid = xhat.take(reads, axis=0).T - xn[:, verts]
         if not normalized:
             resid = resid * model.norm_std[:, None]
-        scores[row] = roi_residual_scores(resid, verts)
+        scores[row] = roi_residual_scores(resid, slice(None))
     if not np.all(np.isfinite(scores)):
         raise DomainError(f"{who} has non-finite anomaly scores")
     return ScoreMatrix(

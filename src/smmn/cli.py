@@ -13,6 +13,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import anomaly, io, net, stats, synth
 from .errors import (
     ConfigurationError,
@@ -153,6 +155,11 @@ def _build_parser():
 
 
 def _cmd_icosphere(args):
+    # The file stores >f4 coordinates, so the radius must survive the cast.
+    with np.errstate(over="ignore"):
+        stored = np.float32(args.radius)
+    if not (np.isfinite(stored) and stored > 0):
+        raise UsageError(f"--radius must be finite and positive, got {args.radius}")
     mesh = icosphere(args.order)
     io.write_fs_surface(args.out, mesh, radius=args.radius)
     print(f"wrote order-{args.order} icosphere "

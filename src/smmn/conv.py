@@ -28,19 +28,25 @@ vertex- or facet-major (N, B, C) row tables, so a channel mix is one
 cost no copy.
 
 A forward core computes the (row, batch) entries of a :class:`RowSelection`,
-reading its input rows through the selection's flat indices n * B + b:
+reading its input rows through the selection's flat gather indices:
 vertex2facet as three GEMMs on the facets' corner rows, facet2vertex with
-each active vertex's filters on its facet rows.  facet2vertex, forward and
-backward, runs over vertex chunks and, within a chunk, one ring slot at a
-time, so its (rows, out, in) filter temporaries follow a fixed byte budget,
-not the mesh; each vertex still sums its slots in slot order.  A slot past
-a vertex's degree reads the vertex's first facet under a zero basis (in
-the facet2vertex backward too).  A dense call runs the context's
-cached full selection, whose rows are the output table already; ROI-masked
-detection (:mod:`smmn.anomaly`) runs partial ones, which
-:meth:`RowSelection.table` spreads over the table.  The other reads (ring
-slots in the vertex2facet backward, cluster members) gather through a
-padded table whose -1 pads read an appended zero or -inf row.
+each active vertex's filters on its facet rows, a pool as the max of its
+members' rows, an unpool as a copy of its parent's row.  A dense call is
+the identity case: the context's cached full selection reads row
+n * B + b of the (N, B, C) table and writes that table.  ROI-masked
+detection (:mod:`smmn.anomaly`) runs partial selections on compact
+tables: a core takes and gives the (C, P) rows of the selected entries
+only, followed, in the encoder, by one base row per table row, which
+every unselected entry reads.  facet2vertex, forward and backward, runs
+over vertex chunks and, within a chunk, one ring slot at a time, so its
+(rows, out, in) filter temporaries follow a fixed byte budget, not the
+mesh; each vertex still sums its slots in slot order.  One call builds
+each (chunk, slot) filter stack once and applies it to every group of
+rows it computes (detection's ROI rows and base rows).  A slot past a
+vertex's degree reads the vertex's first facet under a zero basis (in
+the facet2vertex backward too).  The dense pool and the backward reads
+(ring slots in the vertex2facet backward, cluster members) gather through
+a padded table whose -1 pads read an appended zero or -inf row.
 """
 
 from dataclasses import dataclass
@@ -152,24 +158,46 @@ class ConvContext:
         self.slot_basis *= weight[..., None]
         self._full = {}  # batch size -> full_selection
 
-    def select(self, facets, vertices):
-        """The (facet, vertex) :class:`RowSelection` pair of an (F, B) facet
-        and a (V, B) vertex mask, which :func:`block_forward` takes."""
+    def select(self, facets, vertices, reads=None, base=False):
+        """The (facet, vertex) :class:`RowSelection` pair that
+        :func:`block_forward` computes on an (F, B) facet and a (V, B)
+        vertex mask, with ``base`` rows or without.  ``reads`` (V, B + base)
+        gives the flat input row of each entry (the
+        :meth:`RowSelection.positions` of the step before), and facet2vertex
+        then reads the facet selection's output; by default both read the
+        dense layout n * B + b.
+        """
         batch = facets.shape[1]
-        pairs = np.flatnonzero(facets)
-        f, b = np.divmod(pairs, batch)
-        facet_rows = RowSelection(facets, pairs, self.corners[:, f] * batch + b)
-        pairs = np.flatnonzero(vertices)
+        dense = reads is None
+        if dense:
+            reads = np.arange(self.num_vertices * batch).reshape(-1, batch)
+        f, b = entries(facets, base)
+        facet_rows = RowSelection(facets, reads[self.corners[:, f], b], base,
+                                  full=dense and facets.all())
+        slot_reads = (np.arange(self.num_facets * batch).reshape(-1, batch)
+                      if dense else facet_rows.positions())
+        # Ring slot d of each active vertex at its selected batch ids, padded
+        # to one width; a pad repeats the vertex's first id.
         counts = vertices.sum(axis=1)
         active = np.flatnonzero(counts)
         valid = np.arange(counts.max(initial=0)) < counts[active, None]
         ids = np.zeros(valid.shape, dtype=np.int64)
-        ids[valid] = pairs % batch
-        if len(active) == self.num_vertices:
-            active = slice(None)  # a view of slot_basis, not a copy
+        ids[valid] = np.nonzero(vertices)[1]
+        ids = np.where(valid, ids, ids[:, :1])
+        gather = [slot_reads[self.slot_facets[:, active, None], ids]]
+        order = np.flatnonzero(valid)
+        if base:
+            # The base rows of every vertex, the selected ones' first, so
+            # that both groups of a vertex chunk share its filters.
+            active = np.concatenate([active, np.flatnonzero(~vertices.any(axis=1))])
+            gather.append(slot_reads[:, batch:][self.slot_facets[:, active]])
+            order = np.concatenate([order, valid.size + np.argsort(active)])
+        elif valid.all():
+            order = None
         return facet_rows, RowSelection(
-            vertices, pairs, self.slot_facets[:, active, None] * batch + ids,
-            None if valid.all() else valid, active)
+            vertices, gather, base, full=dense and vertices.all(), order=order,
+            active=None if np.array_equal(active, np.arange(self.num_vertices))
+            else active)
 
     def full_selection(self, batch):
         """:meth:`select` of every row at batch size ``batch``, which a
@@ -213,48 +241,78 @@ def _padded_rows(x, fill):
 
 
 def _flat(x):
-    """The (N·B, C) rows of a (B, C, N) array: entry (n, b) is row n * B + b."""
-    return _rows(x).reshape(-1, x.shape[1])
+    """The (N·B, C) rows of a (B, C, N) array, entry (n, b) being row
+    n * B + b, or the (P, C) rows of a (C, P) one."""
+    return _rows(x).reshape(-1, x.shape[-2])
+
+
+def entries(mask, base=False):
+    """The (row, batch) ids of the entries a selection of the (N, B) ``mask``
+    computes, in the order it writes them: the True entries in row-major
+    order, then, with ``base``, entry (n, B) of every row n."""
+    n, b = np.nonzero(mask)
+    if base:
+        n = np.concatenate([n, np.arange(len(mask))])
+        b = np.concatenate([b, np.full(len(mask), mask.shape[1])])
+    return n, b
+
+
+def gathering(mask, index, reads, base=False):
+    """The :class:`RowSelection` of the entries of ``mask`` (see
+    :func:`entries`) in which entry (n, b) reads input entries
+    (index[n], b), the input's rows being laid out by ``reads`` (a
+    :meth:`RowSelection.positions` table): a pool's member table, an
+    unpool's parents.  An index of -1 reads the last row, a pool's pad."""
+    n, b = entries(mask, base)
+    index = index[n]
+    reads = np.pad(reads, ((0, 1), (0, 0)), constant_values=-1)
+    b = b.reshape(b.shape + (1,) * (index.ndim - 1))
+    return RowSelection(mask, reads[index, b], base)
 
 
 class RowSelection:
-    """The entries of an (N, B) row table that a forward core computes, and
-    the flat rows n * B + b of its input that it reads through ``gather``.
+    """The entries of an (N, B) table that a forward core computes, and the
+    flat rows of its input that each one reads.
 
-    ``mask`` is the (N, B) boolean table, ``pairs`` its True entries
-    n * B + b in row-major order, and ``full`` says every entry is True.
-    :meth:`ConvContext.select` builds them.  For vertex2facet,
-    ``gather[j]`` reads corner j of each pair's facet.  For facet2vertex,
-    ``gather[d]`` reads ring slot d of each active vertex at its selected
-    batch ids, padded to one width; ``valid`` marks the ids that are pairs
-    (None if none is padding), and ``active`` indexes the active vertices
-    (a full slice if every vertex is active).
+    ``mask`` is the (N, B) boolean table of selected entries.  The core
+    writes one row per entry of :func:`entries`: the selected ones, then,
+    with ``base``, one base row per table row, which the row's unselected
+    entries equal.  ``full`` says the rows are the dense (N, B) table.
+
+    ``gather`` holds the flat input rows each output row reads: (3, P)
+    facet corners for vertex2facet, (P, D) cluster members with -1 pads
+    for a pool, (P,) parents for an unpool.  For facet2vertex it is a list
+    of (D, A, W) groups, ring slot d of A vertices at W batch ids padded
+    to one width.  ``active`` lists the vertices whose filters the core
+    builds (None for all, in order), and each group's A vertices lead it.
+    ``order`` picks the output rows from the groups' padded rows laid end
+    to end (None if they are the output already).
     """
 
-    def __init__(self, mask, pairs, gather, valid=None, active=None):
-        self.mask = mask
-        self.pairs = pairs
-        self.full = len(pairs) == mask.size
-        self.gather, self.valid, self.active = gather, valid, active
+    def __init__(self, mask, gather, base=False, *, full=False, order=None,
+                 active=None):
+        self.mask, self.gather, self.base, self.full = mask, gather, base, full
+        self.order, self.active = order, active
+
+    def positions(self):
+        """The (N, B + base) flat row, in this selection's output, of each
+        entry; an unselected entry reads its row's base row, or, without
+        a base, the row after the output."""
+        pos = np.cumsum(self.mask).reshape(self.mask.shape)
+        tail = pos[-1, -1]
+        pos -= 1
+        if self.base:
+            tail = tail + np.arange(len(pos))[:, None]
+        np.copyto(pos, tail, where=~self.mask)
+        return np.hstack([pos, tail]) if self.base else pos
 
     def result(self, picked):
         """A core's output from its computed rows: the (B, C, N) table for
-        the full selection, else the (C, P) rows that :meth:`table` takes."""
-        if self.valid is not None:
-            picked = picked[self.valid]
+        the full selection, else the (C, P) rows of :func:`entries`."""
+        if self.order is not None:
+            picked = picked.take(self.order, axis=0)
         return _cols(picked.reshape((self.mask.shape if self.full else (-1,))
                                     + picked.shape[-1:]))
-
-    def table(self, result, base=None):
-        """The (B, C, N) table of a core's ``result``, in which an entry
-        outside a partial selection is the row of ``base``, a (1, C, N)
-        output of the same core, or NaN without one."""
-        if self.full:
-            return result
-        out = np.empty(self.mask.shape + result.shape[:1])
-        out[...] = np.nan if base is None else _rows(base)
-        out.reshape(-1, len(result))[self.pairs] = _rows(result)
-        return _cols(out)
 
 
 def v2f_forward_core(ctx, x, coeffs, *, rows=None):
@@ -315,16 +373,25 @@ def f2v_forward_core(ctx, h, coeffs, *, rows=None):
     :class:`RowSelection` of the (V, B) table (every pair by default):
     each active vertex's filters applied to its gathered facet rows, in
     vertex chunks (:func:`_vertex_chunks`), summed over the ring slots in
-    slot order."""
+    slot order.  Each (chunk, slot) filter stack is built once and serves
+    every group of the selection."""
     rows = rows or ctx.full_selection(h.shape[0])[1]
     flat = _flat(h)
-    slot_basis = ctx.slot_basis[:, rows.active]
-    picked = np.zeros(rows.gather.shape[1:] + coeffs.shape[:1])  # (A, W, out)
-    for part in _vertex_chunks(len(picked), *coeffs.shape[:2]):
-        acc = picked[part]
-        for basis, gather in zip(slot_basis[:, part], rows.gather[:, part]):
-            acc += np.matmul(flat.take(gather, axis=0),
-                             _filters(basis, coeffs).transpose(0, 2, 1))
+    sizes = [gather[0].size for gather in rows.gather]
+    picked = np.zeros((sum(sizes), len(coeffs)))
+    accs = [acc.reshape(gather.shape[1:] + (-1,)) for acc, gather in  # (A, W, out)
+            zip(np.split(picked, np.cumsum(sizes)[:-1]), rows.gather)]
+    active = rows.active
+    count = ctx.num_vertices if active is None else len(active)
+    for part in _vertex_chunks(count, *coeffs.shape[:2]):
+        basis = ctx.slot_basis[:, part if active is None else active[part]]
+        for d in range(len(basis)):
+            filters = _filters(basis[d], coeffs).transpose(0, 2, 1)
+            for acc, gather in zip(accs, rows.gather):
+                chunk = acc[part]  # the group's vertices lead the chunk's
+                chunk += np.matmul(flat.take(gather[d, part], axis=0),
+                                   filters[:len(chunk)])
+            del filters  # freed before the next slot's filters are built
     return rows.result(picked)
 
 
@@ -336,7 +403,7 @@ def f2v_backward_core(ctx, coeffs, h, grad_out):
     batch = h.shape[0]
     flat = _flat(h)
     dv = np.ascontiguousarray(_rows(grad_out))  # (V, B, out)
-    gathers = ctx.full_selection(batch)[1].gather  # (D, V, B)
+    gathers, = ctx.full_selection(batch)[1].gather  # (D, V, B)
     grad_coeffs = 0.0  # (out * in, K)
     dhe = np.empty(ctx.slots.shape + (batch, c_in))  # (D, V, B, in)
     for part in _vertex_chunks(len(dv), out_ch, c_in):
@@ -369,23 +436,21 @@ def leaky_relu_grad(x, slope=LEAKY_SLOPE):
     return np.where(x > 0.0, 1.0, slope)
 
 
-def block_forward(ctx, h, vf, fv, bias, activate, *, rows=None, base=None):
+def block_forward(ctx, h, vf, fv, bias, activate, *, rows=None):
     """vertex2facet -> facet2vertex -> bias -> optional leaky ReLU.
 
     Returns the output and what :func:`block_backward` needs, each in the
     layout of the cores' outputs.  ``rows``, the (facet, vertex)
     :class:`RowSelection` pair, defaults to the context's full selections.
-    Outside a partial selection, the facet and pre-activation tables hold
-    the rows of ``base`` (what this block saved on a one-row input that
-    agrees with every row of ``h`` outside the selection's reach), or NaN
-    without one (:meth:`RowSelection.table`).
+    A partial pair (built with ``reads``, see :meth:`ConvContext.select`)
+    takes the (C, P) rows of the step before and gives the (C, P) rows of
+    its vertex selection; the bias and the activation touch those rows
+    only.
     """
     facet_rows, vertex_rows = rows or ctx.full_selection(h.shape[0])
-    base_g, base_pre = (None, None) if base is None else base[1:3]
-    g = facet_rows.table(v2f_forward_core(ctx, h, vf, rows=facet_rows), base_g)
+    g = v2f_forward_core(ctx, h, vf, rows=facet_rows)
     pre = f2v_forward_core(ctx, g, fv, rows=vertex_rows)
     pre += bias[:, None]
-    pre = vertex_rows.table(pre, base_pre)
     out = leaky_relu(pre) if activate else pre
     return out, (h, g, pre, activate)
 
@@ -401,10 +466,13 @@ def block_backward(ctx, saved, vf, fv, grad_out):
     return grad_h, grad_vf, grad_fv, grad_bias
 
 
-def pool_max_core(x, clustering, return_argmax=False):
+def pool_max_core(x, clustering, return_argmax=False, *, rows=None):
     """Cluster max over the -inf-padded member table; the argmax is a fine
-    vertex id, the lowest one on ties."""
-    members = _padded_rows(x, -np.inf)[clustering.table]  # (Vc, D, ...)
+    vertex id, the lowest one on ties.  With ``rows``, a
+    :class:`RowSelection` of the coarse entries, the max of each over its
+    gathered member rows, as (C, P) rows."""
+    index = clustering.table if rows is None else rows.gather
+    members = _padded_rows(x, -np.inf).take(index, axis=0)  # (Vc, D, ...)
     out = members.max(axis=1)
     if not return_argmax:
         return _cols(out), None
@@ -423,8 +491,11 @@ def pool_max_backward_core(grad_out, argmax, num_fine):
     return _cols(grad_x)
 
 
-def unpool_core(x, clustering):
-    return _cols(_rows(x)[clustering.parent])
+def unpool_core(x, clustering, *, rows=None):
+    """Each fine vertex's parent row; with ``rows``, a :class:`RowSelection`
+    of the fine entries, each entry's gathered row, as (C, P) rows."""
+    index = clustering.parent if rows is None else rows.gather
+    return _cols(_rows(x).take(index, axis=0))
 
 
 def unpool_backward_core(grad_out, clustering):

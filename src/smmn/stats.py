@@ -116,7 +116,10 @@ def effect_report(scores_a, scores_b, alpha=0.05):
     runs per feature channel across all ROIs; rows with q < alpha survive
     into ``significant``, sorted by descending eta squared.  Groups too
     small to test are marked untested and excluded from the BH family.
+    ``alpha`` must lie strictly between 0 and 1 (UsageError otherwise).
     """
+    if not 0.0 < alpha < 1.0:
+        raise UsageError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     for what in ("roi_ids", "channel_names", "hemisphere"):
         in_a, in_b = getattr(scores_a, what), getattr(scores_b, what)
         if in_a != in_b:

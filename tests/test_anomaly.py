@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from smmn import anomaly, mesh, net, spharm, synth
+from smmn import anomaly, conv, mesh, net, spharm, synth
 from smmn.errors import DomainError, ParseError, ShapeError, UsageError
 
 
@@ -400,3 +402,65 @@ def test_read_scores_csv_rows_in_any_order(tmp_path):
     assert loaded.roi_names == {3: "roi_3", 7: "roi_7"}
     np.testing.assert_array_equal(loaded.roi_sizes, [7, 11])
     np.testing.assert_array_equal(loaded.scores[:, :, 0], [[1.3, 1.7], [0.3, 0.7]])
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_a_read_outside_a_decoder_demand_is_a_domain_error(monkeypatch, block):
+    """Without one (vertex, ROI) pair of one decoder block's demand, the
+    step after it reads the NaN row in its place, so detection stops
+    instead of returning finite scores."""
+    model, atlas, subjects = _order3_case()
+    real = conv.ConvContext.select
+    decoder_calls = []
+
+    def select(self, facets, vertices, reads=None, base=False):
+        if not base:
+            if len(decoder_calls) == block:
+                vertices = vertices.copy()
+                vertices.flat[np.flatnonzero(vertices)[0]] = False
+            decoder_calls.append(vertices.shape)
+        return real(self, facets, vertices, reads, base)
+
+    monkeypatch.setattr(conv.ConvContext, "select", select)
+    tables = anomaly.roi_tables(model, atlas, atlas.roi_ids())
+    assert len(decoder_calls) == 4
+    with pytest.raises(DomainError, match="non-finite anomaly scores"):
+        anomaly.detect_all(model, subjects[0], atlas, tables=tables)
+
+
+def test_encoder_builds_each_filter_stack_once(monkeypatch):
+    # Order 3, two levels: 8 blocks of 6 ring slots, one vertex chunk each.
+    # The encoder's base rows and ROI rows share one facet2vertex call, so
+    # each (block, slot) builds its filters once: 48 calls, not 72.
+    model, atlas, subjects = _order3_case()
+    tables = anomaly.roi_tables(model, atlas, atlas.roi_ids())
+    real = conv._filters
+    calls = []
+    monkeypatch.setattr(conv, "_filters",
+                        lambda basis, coeffs: calls.append(1) or real(basis, coeffs))
+    anomaly.detect_all(model, subjects[0], atlas, tables=tables)
+    assert len(calls) == 48
+
+
+def test_detection_never_holds_a_full_roi_table():
+    # Order 4, 34 ROIs, 16 channels: one (F, R, C) facet table is 21 MiB.
+    # Detection keeps only the rows it computes, so scoring one subject of
+    # a cohort (its tables built once, outside the trace) peaks below that
+    # single table.
+    model = net.MMNModel(net.ModelConfig(input_order=4, channels=(16, 16),
+                                         in_channels=2, channel_names=("a", "b")))
+    atlas = synth.synthetic_atlas(model.hierarchy.mesh(4), 34)
+    rng = np.random.default_rng(5)
+    subject = net.Sample(rng.standard_normal((2, model.num_input_vertices)),
+                         net.ContextVector(60.0, 1.0), "o4")
+    full_table = model.context_of(4).num_facets * 34 * 16 * 8
+    assert full_table > 21 * 2**20
+    tables = anomaly.roi_tables(model, atlas, atlas.roi_ids())
+    anomaly.detect_all(model, subject, atlas, tables=tables)  # fills the caches
+    tracemalloc.start()
+    try:
+        anomaly.detect_all(model, subject, atlas, tables=tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full_table

@@ -21,6 +21,16 @@ def test_icosphere_emits_mesh(tmp_path):
     assert m.num_vertices == 162
 
 
+@pytest.mark.parametrize("radius", ["nan", "inf", "0", "-2", "1e39"])
+def test_icosphere_bad_radius_exits_1(tmp_path, capsys, radius):
+    # nan, inf, 0 and -2 would write a surface that resample rejects; 1e39
+    # overflows the file's float32 coordinates.
+    out = tmp_path / "x.surf"
+    assert run("icosphere", "--order", "1", "--out", str(out), "--radius", radius) == 1
+    assert "--radius" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_1(capsys):
     assert run("frobnicate") == 1
 
@@ -226,6 +236,16 @@ def test_stats_group_a_is_first_group_name_in_sorted_order(tmp_path):
                str(tmp_path / "manifest.json"), "--out", str(tmp_path / "out")) == 0
     rows = (tmp_path / "out" / "stats.csv").read_text().splitlines()
     assert [row.split(",")[4:6] for row in rows[1:]] == [["3", "2"], ["3", "2"]]
+
+
+@pytest.mark.parametrize("alpha", ["nan", "0", "-1", "1", "2", "inf"])
+def test_stats_bad_alpha_exits_1(tmp_path, capsys, alpha):
+    table = tmp_path / "scores.csv"
+    table.write_text("".join(_grid_lines()))
+    assert run("stats", "--group-a", str(table), "--group-b", str(table),
+               "--out", str(tmp_path / "out"), "--alpha", alpha) == 1
+    assert "alpha" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _synth_order_1(tmp_path):

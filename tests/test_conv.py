@@ -491,6 +491,16 @@ def test_cores_give_equal_arrays_on_either_layout(core, lead):
             np.testing.assert_array_equal(a, b)
 
 
+def _spread(rows, result, fill):
+    """The (B, C, N) table of a core's (C, P) rows on a partial selection:
+    those rows at the selected entries, ``fill`` (a (1, C, N) table, or
+    NaN for None) at the others."""
+    table = np.empty(rows.mask.shape + result.shape[:1])
+    table[...] = np.nan if fill is None else np.moveaxis(fill, -1, 0)
+    table[rows.mask] = result.T
+    return np.moveaxis(table, 0, -1)
+
+
 @pytest.mark.parametrize("surface", ["icosphere", "hull"])
 @pytest.mark.parametrize("batch", [1, 5])
 def test_forward_cores_compute_only_selected_rows(batch, surface, request):
@@ -528,7 +538,7 @@ def test_forward_cores_compute_only_selected_rows(batch, surface, request):
             read = mask[ctx.corners].any(axis=0)
         dense = core(ctx, arg, coeffs)
         masked_arg = np.where(read.T[:, None, :], arg, np.nan)
-        sparse = rows.table(core(ctx, masked_arg, coeffs, rows=rows), fill)
+        sparse = _spread(rows, core(ctx, masked_arg, coeffs, rows=rows), fill)
         sel = mask.T[:, None, :].repeat(len(coeffs), axis=1)
         np.testing.assert_allclose(sparse[sel], dense[sel], rtol=1e-13, atol=1e-13)
         expected = np.broadcast_to(unselected, dense.shape)

@@ -272,6 +272,14 @@ def test_effect_report_q_equal_to_alpha_neither_rejected_nor_significant(monkeyp
     assert report.significant == []
 
 
+@pytest.mark.parametrize("alpha", [math.nan, 0.0, -1.0, 1.0, 2.0, math.inf])
+def test_effect_report_rejects_alpha_outside_0_1(alpha):
+    rng = np.random.default_rng(14)
+    a, b = (_matrix(rng.uniform(size=(4, 2, 1))) for _ in range(2))
+    with pytest.raises(UsageError, match="alpha"):
+        stats.effect_report(a, b, alpha=alpha)
+
+
 def test_effect_report_small_group_marked_untested():
     rng = np.random.default_rng(9)
     a = _matrix(rng.uniform(size=(1, 3, 1)))
