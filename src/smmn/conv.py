@@ -15,8 +15,10 @@ Three operators move features around the mesh:
 The network runs the batched array cores (``*_core`` and the
 ``block_*`` pair); the FeatureMap operators are checked shims over them.
 Everything is linear in both features and filter coefficients (before
-the nonlinearity), so the backward passes are exact.  All reductions run
-in a fixed order; identical inputs give bit-identical outputs.
+the nonlinearity), so the backward passes are exact; a block's backward
+reads its input, its facet features and its pre-activation's sign.  All
+reductions run in a fixed order; identical inputs give bit-identical
+outputs.
 
 Each mesh caches a :class:`ConvContext` per filter degree holding its
 padded one-ring table and the filter basis sampled at every ring slot.
@@ -432,15 +434,12 @@ def leaky_relu(x, slope=LEAKY_SLOPE):
     return np.maximum(out, x, out=out)
 
 
-def leaky_relu_grad(x, slope=LEAKY_SLOPE):
-    return np.where(x > 0.0, 1.0, slope)
-
-
 def block_forward(ctx, h, vf, fv, bias, activate, *, rows=None):
     """vertex2facet -> facet2vertex -> bias -> optional leaky ReLU.
 
-    Returns the output and what :func:`block_backward` needs, each in the
-    layout of the cores' outputs.  ``rows``, the (facet, vertex)
+    Returns the output and what :func:`block_backward` needs, (h, g,
+    pre > 0), the sign None if linear, each in the layout of the cores'
+    outputs.  ``rows``, the (facet, vertex)
     :class:`RowSelection` pair, defaults to the context's full selections.
     A partial pair (built with ``reads``, see :meth:`ConvContext.select`)
     takes the (C, P) rows of the step before and gives the (C, P) rows of
@@ -452,14 +451,14 @@ def block_forward(ctx, h, vf, fv, bias, activate, *, rows=None):
     pre = f2v_forward_core(ctx, g, fv, rows=vertex_rows)
     pre += bias[:, None]
     out = leaky_relu(pre) if activate else pre
-    return out, (h, g, pre, activate)
+    return out, (h, g, pre > 0.0 if activate else None)
 
 
 def block_backward(ctx, saved, vf, fv, grad_out):
     """Gradients of :func:`block_forward`: (input, vf, fv, bias)."""
-    h, g, pre, activate = saved
-    if activate:
-        grad_out = grad_out * leaky_relu_grad(pre)
+    h, g, positive = saved
+    if positive is not None:
+        grad_out = grad_out * np.where(positive, 1.0, LEAKY_SLOPE)
     grad_bias = grad_out.sum(axis=(0, 2))
     grad_g, grad_fv = f2v_backward_core(ctx, fv, g, grad_out)
     grad_h, grad_vf = v2f_backward_core(ctx, vf, h, grad_g)

@@ -382,7 +382,8 @@ def load_manifest(path, check_files=True):
 
     The file must be UTF-8 JSON; a decoding or JSON error is a ParseError
     at its byte offset, and an error in the document's fields one at
-    offset 0.
+    offset 0, as is a ``sex``, ``group`` or ``split`` outside the values
+    docs/formats.md lists.
     """
     cur = Cursor(path)
     try:
@@ -429,15 +430,23 @@ def load_manifest(path, check_files=True):
                 raise cur.error(f"subject {sid!r}: 'files' has no path for "
                                 f"channel {channel!r}", 0)
         age, sex = (float(field(entry, k, (int, float), where)) for k in ("age", "sex"))
+        group, split = (field(entry, k, str, where, optional=True)
+                        for k in ("group", "split"))
+        for key, value, allowed in (("sex", sex, [-1, 1]),
+                                    ("group", group, ["control", "patient", None]),
+                                    ("split", split, ["train", "val", "test", None])):
+            if value not in allowed:
+                raise cur.error(f"subject {sid!r}: {key!r} is {json.dumps(value)}, "
+                                f"not one of {json.dumps(allowed)}", 0)
         subjects.append(
             SubjectEntry(
                 subject_id=sid,
                 files=dict(files),
                 age=age,
                 sex=sex,
-                group=field(entry, "group", str, where, optional=True) or "control",
+                group=group or "control",
                 euler=field(entry, "euler", (int, float), where, optional=True),
-                split=field(entry, "split", str, where, optional=True) or "test",
+                split=split or "test",
             )
         )
     manifest = DatasetManifest(

@@ -334,16 +334,17 @@ def forward_core(model, xb, ctxn, record=False):
     ctxn : (B, ctx_dim) array
         Normalized context vectors.
     record : bool
-        Keep the tape needed by :func:`backward_core`: what each plan step
-        saved, in plan order (None for an unpool).
+        Keep the tape that :func:`backward_core` consumes, in plan order:
+        a block's input, facet features and pre-activation sign (None if
+        linear), a pool's argmax, None for an unpool, and the bottleneck's
+        (d + ctx_dim, B·C) input rows.
 
     Returns
     -------
     (B, C_in, V) reconstruction and the tape (None unless recording).
     Every step's output is a (B, C, N) view of a C-contiguous (N, B, C)
-    buffer (see :mod:`smmn.conv`), and so are the block arrays and pool
-    argmaxes the tape keeps; the bottleneck keeps its (d + ctx_dim, B·C)
-    input rows.
+    buffer (see :mod:`smmn.conv`), and so is every array of a block or
+    pool entry.
     """
     cfg = model.config
     p = model.params
@@ -389,26 +390,27 @@ def bottleneck_forward(model, h, ctxn):
 
 
 def backward_core(model, tape, grad_out, mask_matrix):
-    """Every parameter's gradient, from the plan and its tape in reverse.
+    """Every parameter's gradient, in ``param_names`` order, from the plan
+    in reverse, popping each step's tape entry (so it is freed before the
+    steps before it run) and storing each gradient as it is made.
 
     ``mask_matrix`` is the (B, V) boolean mask used when building the
     input, needed to route gradient into the mask token.
     """
-    if tape is None:
-        raise UsageError("backward requires a recorded forward tape")
+    plan = model.config.plan()
+    if tape is None or len(tape) != len(plan):  # a consumed tape is empty
+        raise UsageError(f"backward needs a recorded forward tape of {len(plan)} "
+                         f"entries, got {'none' if tape is None else len(tape)}")
     p = model.params
-    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+    grads = {}
     g = grad_out
-    for step, saved in zip(reversed(model.config.plan()), reversed(tape)):
-        kind = step[0]
+    for step in reversed(plan):
+        kind, saved = step[0], tape.pop()
         if kind == "block":
             name, order = step[1:3]
-            g, gvf, gfv, gb = conv.block_backward(
-                model.context_of(order), saved, p[f"{name}_vf"], p[f"{name}_fv"], g
-            )
-            grads[f"{name}_vf"] += gvf
-            grads[f"{name}_fv"] += gfv
-            grads[f"{name}_b"] += gb
+            g, grads[f"{name}_vf"], grads[f"{name}_fv"], grads[f"{name}_b"] = (
+                conv.block_backward(model.context_of(order), saved,
+                                    p[f"{name}_vf"], p[f"{name}_fv"], g))
         elif kind == "pool":
             num_fine = model.hierarchy.clustering(step[1]).num_fine
             g = conv.pool_max_backward_core(g, saved, num_fine)
@@ -417,10 +419,10 @@ def backward_core(model, tape, grad_out, mask_matrix):
         else:
             batch, c_l, d = g.shape
             rows = g.transpose(2, 0, 1).reshape(d, batch * c_l)
-            grads["ctx_proj"] += saved @ rows.T
+            grads["ctx_proj"] = saved @ rows.T
             g = (p["ctx_proj"][:d] @ rows).reshape(d, batch, c_l).transpose(1, 2, 0)
-    grads["mask_token"] += np.tensordot(mask_matrix.T, g.transpose(2, 0, 1), axes=2)
-    return grads
+    grads["mask_token"] = np.tensordot(mask_matrix.T, g.transpose(2, 0, 1), axes=2)
+    return {name: grads[name] for name in p}
 
 
 def masked_batch(model, features_norm, masks):
@@ -568,9 +570,12 @@ def _evaluate(model, feats, ctxn, masks, batch_size):
     return math.fsum(total) / len(feats)
 
 
-def _check_finite(loss, what):
+def _check_finite(loss, what, lr=None):
+    """DomainError unless ``loss`` is finite; it names ``lr``, the
+    epoch's learning rate, if given."""
     if not math.isfinite(loss):
-        raise DomainError(f"{what} is {loss!r}; check the inputs for "
+        cause = "the inputs" if lr is None else f"the learning rate {lr!r} and inputs"
+        raise DomainError(f"{what} is {loss!r}; check {cause} for "
                           "non-finite or extreme values")
 
 
@@ -637,11 +642,12 @@ def train(model, train_set, val_set, config, verbose=False):
             loss, dxhat = batch_loss_and_grad(xhat, feats_tr[idx], batch_masks)
             grads = backward_core(model, tape, dxhat, mask_matrix)
             opt.step(model.params, grads, lr, config.weight_decay)
+            del tape, grads  # freed before the next batch and validation
             epoch_losses.append(loss * len(idx))
         train_loss = math.fsum(epoch_losses) / len(train_set)
         val_loss = _evaluate(model, feats_va, ctx_va, val_masks, config.batch_size)
-        _check_finite(train_loss, f"epoch {epoch} train loss")
-        _check_finite(val_loss, f"epoch {epoch} val loss")
+        _check_finite(train_loss, f"epoch {epoch} train loss", lr)
+        _check_finite(val_loss, f"epoch {epoch} val loss", lr)
         history.append(
             {"epoch": epoch, "lr": lr, "train_loss": train_loss, "val_loss": val_loss}
         )

@@ -211,8 +211,6 @@ def _group_manifest(path, groups):
 @pytest.mark.parametrize("groups, named", [
     ({"s0": "control", "s1": "patient"}, "subject 's2' is not in"),
     ({"s0": "control", "s1": "control", "s2": "control"}, "['control']"),
-    ({"s0": "control", "s1": "patient", "s2": "sibling"},
-     "['control', 'patient', 'sibling']"),
 ])
 def test_stats_groups_from_manifest_not_two_exits_2(tmp_path, capsys, groups, named):
     table = tmp_path / "scores.csv"
@@ -499,6 +497,47 @@ def test_train_model_order_other_than_the_data_exits_2(tmp_path, capsys,
     vertices = {1: 42, 2: 162}
     assert "'sub-0'" in err
     assert f"(1, {vertices[data_order]})" in err and f"(1, {vertices[model_order]})" in err
+
+
+def test_stats_manifest_group_outside_its_set_exits_2(tmp_path, capsys):
+    # The manifest loader rejects a third group before stats splits the rows.
+    table = tmp_path / "scores.csv"
+    table.write_text("".join(_grid_lines()))
+    _group_manifest(tmp_path / "manifest.json",
+                    {"s0": "control", "s1": "patient", "s2": "sibling"})
+    err = _exit_2_without_traceback(
+        capsys, "stats", "--scores", str(table),
+        "--manifest", str(tmp_path / "manifest.json"), "--out", str(tmp_path / "out"),
+    )
+    assert "subject 's2': 'group' is \"sibling\"" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [("split", "trian"), ("group", "patinet"),
+                                        ("sex", 7)])
+def test_train_manifest_value_outside_its_set_exits_2(tmp_path, capsys, key, value):
+    manifest = _synth_order_1(tmp_path)
+    doc = json.loads(manifest.read_text())
+    doc["subjects"][0][key] = value
+    manifest.write_text(json.dumps(doc))
+    err = _exit_2_without_traceback(
+        capsys, "train", "--manifest", str(manifest), "--config",
+        str(tmp_path / "train.cfg"), "--out", str(tmp_path / "run"),
+    )
+    assert f"subject 'sub-0': '{key}' is " in err and str(manifest) in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_loss_that_turns_non_finite_names_the_learning_rate(tmp_path, capsys):
+    manifest = _synth_order_1(tmp_path)
+    (tmp_path / "train.cfg").write_text(
+        "order = 1\nchannels = 2\nepochs = 1\nlr = 1e300\nbatch_size = 1\n")
+    with np.errstate(all="ignore"):  # the parameters overflow
+        err = _exit_2_without_traceback(
+            capsys, "train", "--manifest", str(manifest), "--config",
+            str(tmp_path / "train.cfg"), "--out", str(tmp_path / "run"),
+        )
+    assert "epoch 1 train loss is " in err and "learning rate 1e+300" in err
 
 
 def test_train_on_subject_with_nan_exits_2(tmp_path, capsys):

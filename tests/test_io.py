@@ -387,6 +387,37 @@ def test_manifest_missing_or_ill_typed_field(tmp_path, edit):
     assert err.value.path == str(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("sex", 7), ("sex", 0), ("sex", 0.5), ("group", "patinet"), ("group", ""),
+    ("split", "trian"), ("split", ""),
+])
+def test_manifest_value_outside_its_set_is_parse_error(tmp_path, key, value):
+    # A misspelt split would silently drop the subject from training.
+    path = tmp_path / "manifest.json"
+    io.save_manifest(_manifest(tmp_path, [0, 0]), path)
+    doc = json.loads(path.read_text())
+    doc["subjects"][1][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=f"subject 'sub1': '{key}' is ") as err:
+        io.load_manifest(path)
+    assert (err.value.path, err.value.offset) == (str(path), 0)
+
+
+def test_manifest_accepts_every_listed_value(tmp_path):
+    path = tmp_path / "manifest.json"
+    io.save_manifest(_manifest(tmp_path, [0] * 4), path)
+    doc = json.loads(path.read_text())
+    for entry, sex, group, split in zip(doc["subjects"], (-1, 1, -1.0, 1.0),
+                                        ("control", "patient", None, "patient"),
+                                        ("train", "val", "test", None)):
+        entry.update(sex=sex, group=group, split=split)
+    path.write_text(json.dumps(doc))
+    back = io.load_manifest(path)
+    assert [(s.sex, s.group, s.split) for s in back.subjects] == [
+        (-1.0, "control", "train"), (1.0, "patient", "val"),
+        (-1.0, "control", "test"), (1.0, "patient", "test")]
+
+
 def test_manifest_optional_fields_may_be_null(tmp_path):
     path = tmp_path / "manifest.json"
     io.save_manifest(_manifest(tmp_path, [None]), path)

@@ -136,9 +136,10 @@ def test_forward_deterministic(tiny_model, tiny_sample):
 
 
 def test_forward_tape_keeps_vertex_major_views(tiny_model):
-    # Each block's saved input h, facet features g and pre-activation is a
-    # (B, C, N) view of a C-contiguous (N, B, C) buffer, so no step has
-    # fallen back to a copy in another layout.
+    # Each block's saved input h, facet features g and boolean
+    # pre-activation sign is a (B, C, N) view of a C-contiguous (N, B, C)
+    # buffer, so no step has fallen back to a copy in another layout; the
+    # linear last block saves no sign.
     rng = np.random.default_rng(3)
     masks = [net.sample_mask(42, 0.5, rng) for _ in range(3)]
     xb, _ = net.masked_batch(tiny_model, rng.standard_normal((3, 2, 42)), masks)
@@ -146,9 +147,10 @@ def test_forward_tape_keeps_vertex_major_views(tiny_model):
                                record=True)
     blocks = [saved for step, saved in zip(tiny_model.config.plan(), tape)
               if step[0] == "block"]
-    assert len(blocks) == 4
-    for saved in blocks:
-        for a in saved[:3]:  # h, g, pre
+    assert [sign is None for _, _, sign in blocks] == [False, False, False, True]
+    for h, g, sign in blocks:
+        assert sign is None or sign.dtype == bool
+        for a in [h, g] + ([] if sign is None else [sign]):
             assert a.shape[0] == 3 and a.shape[1] > 1
             assert a.transpose(2, 0, 1).flags.c_contiguous
 
@@ -246,6 +248,70 @@ def test_backward_batch_order_invariance(tiny_model):
 def test_backward_rejects_empty_batch(tiny_model):
     with pytest.raises(UsageError):
         net.backward(tiny_model, [])
+
+
+def _recorded_step(model, batch, seed, start=lambda: None):
+    """(tape, grad_out, mask_matrix) of one recorded forward on random
+    data; ``start`` runs once the inputs are built."""
+    rng = np.random.default_rng(seed)
+    num_v, c_in = model.num_input_vertices, model.config.in_channels
+    feats = rng.standard_normal((batch, c_in, num_v))
+    masks = [net.sample_mask(num_v, 0.5, rng) for _ in range(batch)]
+    xb, mask_matrix = net.masked_batch(model, feats, masks)
+    ctxn = rng.standard_normal((batch, 2))
+    start()
+    xhat, tape = net.forward_core(model, xb, ctxn, record=True)
+    return tape, net.batch_loss_and_grad(xhat, feats, masks)[1], mask_matrix
+
+
+def test_backward_core_consumes_the_tape_and_returns_param_order(tiny_model):
+    tape, grad_out, mask_matrix = _recorded_step(tiny_model, 2, 4)
+    grads = net.backward_core(tiny_model, tape, grad_out, mask_matrix)
+    assert tape == []
+    assert list(grads) == tiny_model.param_names()
+    for name, arr in tiny_model.params.items():
+        assert grads[name].shape == arr.shape
+
+
+@pytest.mark.parametrize("case", ["none", "short", "consumed"])
+def test_backward_core_rejects_a_tape_that_does_not_match_the_plan(tiny_model,
+                                                                  case):
+    tape, grad_out, mask_matrix = _recorded_step(tiny_model, 2, 5)
+    steps = len(tiny_model.config.plan())
+    assert len(tape) == steps == 7
+    got = {"none": "none", "short": steps - 1, "consumed": 0}[case]
+    if case == "none":
+        tape = None
+    elif case == "short":
+        tape = tape[1:]
+    else:
+        net.backward_core(tiny_model, tape, grad_out, mask_matrix)
+    with pytest.raises(UsageError, match=f"tape of {steps} entries, got {got}$"):
+        net.backward_core(tiny_model, tape, grad_out, mask_matrix)
+
+
+def test_training_step_frees_the_tape_as_backward_consumes_it():
+    # One order-4 forward and backward (widths 16,32, B = 4).  Holding the
+    # whole tape with float64 pre-activations through the backward, beside
+    # a zero gradient for every parameter, peaked at 1.77x the bytes of
+    # such a tape (42.5 MiB); popping each entry as the backward uses it
+    # and saving only the activation sign gives 1.43x (34.3 MiB).
+    model = net.MMNModel(net.ModelConfig(input_order=4, channels=(16, 32)))
+    batch = 4
+    float_tape = 0  # each block's input, facet features and pre-activation
+    for _, _, order, w_in, w_out, _ in (s for s in model.config.plan()
+                                        if s[0] == "block"):
+        num_v = model.hierarchy.mesh(order).num_vertices
+        float_tape += 8 * batch * (num_v * w_in + 2 * (num_v - 2) * w_out
+                                   + num_v * w_out)
+    net.backward_core(model, *_recorded_step(model, batch, 6))  # fills the caches
+    try:
+        step = _recorded_step(model, batch, 6, tracemalloc.start)
+        net.backward_core(model, *step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * float_tape
 
 
 def test_permutation_covariance():
