@@ -126,8 +126,8 @@ def roi_tables(model, atlas, roi_ids):
     block's mask.  The decoder walks it backward from the output: a
     block computes its facets and its mask, and the wider ring is the
     demand on its input.  A pool or an unpool marks a coarse vertex when
-    any of its cluster's fine vertices is marked; the bottleneck reads and
-    writes every row.  Each step is a gather through a neighbour table.
+    any of its cluster's fine vertices is marked, through the cluster
+    member matrix; the bottleneck reads and writes every row.
 
     Each step's selection then reads the rows the step before computed,
     through its :meth:`~smmn.conv.RowSelection.positions`: an encoder
@@ -159,9 +159,7 @@ def roi_tables(model, atlas, roi_ids):
                 masks[i] = facets, reach if encoder else mask
                 mask = reach
             else:
-                table = model.hierarchy.clustering(step[1]).table
-                # A last False row is what the -1 pads of the table read.
-                coarse = np.pad(mask, ((0, 1), (0, 0)))[table].any(axis=1)
+                coarse = model.hierarchy.clustering(step[1]).member_matrix @ mask > 0
                 masks[i], mask = coarse if encoder else mask, coarse
     rows = {}
     out = conv.RowSelection(roi_mask, None, True)  # the ROI-masked input

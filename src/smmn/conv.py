@@ -21,7 +21,7 @@ reductions run in a fixed order; identical inputs give bit-identical
 outputs.
 
 Each mesh caches a :class:`ConvContext` per filter degree holding its
-padded one-ring table and the filter basis sampled at every ring slot.
+ring-slot tables, sampled filter basis and backward incidence matrices.
 
 The cores take and return (B, C, N) arrays but compute on their
 vertex- or facet-major (N, B, C) row tables, so a channel mix is one
@@ -46,17 +46,18 @@ mesh; each vertex still sums its slots in slot order.  One call builds
 each (chunk, slot) filter stack once and applies it to every group of
 rows it computes (detection's ROI rows and base rows).  A slot past a
 vertex's degree reads the vertex's first facet under a zero basis (in
-the facet2vertex backward too).  The dense pool and the backward reads
-(ring slots in the vertex2facet backward, cluster members) gather through
-a padded table whose -1 pads read an appended zero or -inf row.
+the facet2vertex backward too).  The dense pool's -1 pads read an appended
+-inf row.  Every backward neighbourhood sum (a vertex's corners, a facet's
+ring slots, a cluster's members) is one cached sparse 0/1 matrix product.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import ShapeError, UsageError
-from .mesh import incidence_angles
+from .mesh import group_matrix, incidence_angles
 from .spharm import filter_basis
 
 LEAKY_SLOPE = 0.01
@@ -125,16 +126,16 @@ class FacetFeatureMap:
 class ConvContext:
     """Precomputed one-ring structure of one mesh at one filter degree.
 
-    ``slots`` (D, V) is the mesh's one-ring table, slot-major: the corner
-    id 3f + j in ring slot d of vertex v, or -1.  ``slot_basis`` (D, V, K)
-    is the filter basis divided by the vertex degree (slot sums are then
-    facet2vertex's means), zero at the pads.  ``slot_facets`` holds the
-    facet ids; a pad repeats the vertex's first facet, so it reads a row
-    the vertex reads anyway, and adds nothing.  ``corner_slot[3f + j]``
-    is the flat index of corner j of facet f in ``slots``; it folds slot
-    arrays back onto facets.  :meth:`full_selection` caches the
-    selections of dense calls.  The facet2vertex cores slice these tables
-    by vertex chunk, so a chunk reads its own vertices' slots only.
+    Ring slot d of vertex v (slot-major, D x V) is its d-th corner 3f + j
+    in ascending id, the mesh's one-ring.  ``slot_basis`` (D, V, K) is the
+    filter basis there over the vertex degree (slot sums are then
+    facet2vertex's means), zero past the degree.  ``slot_facets`` holds
+    the facet ids; a slot past the degree repeats the vertex's first
+    facet, a row the vertex reads anyway.  The facet2vertex cores slice
+    these by vertex chunk.  Row v of the 0/1 ``csr_array``
+    ``vertex_corners`` (V, 3F) lists vertex v's corners in ascending id,
+    row f of ``facet_slots`` (F, D·V) the flat slots of corners 3f, 3f + 1,
+    3f + 2 in that order.  :meth:`full_selection` caches dense selections.
     """
 
     def __init__(self, mesh, l_max):
@@ -147,10 +148,14 @@ class ConvContext:
             [filter_basis(l_max, th, ph) for th, ph in _V2F_ANGLES]
         )  # (3, K)
 
-        slots = self.slots = np.ascontiguousarray(mesh.one_ring.T)  # (D, V)
+        slots = np.ascontiguousarray(mesh.one_ring.T)  # (D, V), -1 past the degree
         self.slot_facets = np.where(slots >= 0, slots, slots[0]) // 3
-        # Sorting the flat table puts the pads first, then corners 0, 1, ...
-        self.corner_slot = np.argsort(slots, axis=None)[(slots < 0).sum():]
+        self.vertex_corners = group_matrix(mesh.facets.reshape(-1), self.num_vertices)
+        # Each corner's flat slot (pads sort first), unsorted: the fold's order.
+        at = np.argsort(slots, axis=None)[(slots < 0).sum():].astype(np.int32)
+        starts = np.arange(0, len(at) + 1, 3, dtype=np.int32)
+        self.facet_slots = csr_array((np.ones(len(at)), at, starts),
+                                     shape=(self.num_facets, slots.size))
 
         theta, phi = incidence_angles(mesh)
         # Weight 1/degree makes slot sums means; weight 0 clears the pads,
@@ -235,11 +240,9 @@ def _cols(rows):
     return np.moveaxis(rows, 0, -1)
 
 
-def _padded_rows(x, fill):
-    """The row table of ``x`` plus a last row ``fill``, which the -1 pads of
-    a padded table gather."""
-    rows = _rows(x)
-    return np.concatenate([rows, np.full((1,) + rows.shape[1:], fill)])
+def _summed(matrix, rows):
+    """``matrix @ rows`` for an (N, ...) row table, as a row table."""
+    return (matrix @ rows.reshape(len(rows), -1)).reshape((-1,) + rows.shape[1:])
 
 
 def _flat(x):
@@ -335,19 +338,12 @@ def v2f_backward_core(ctx, coeffs, x, grad_out):
     batch, out_ch, num_f = grad_out.shape
     flat = _flat(x)
     dy = _flat(grad_out)  # (F·B, out)
-    # Row 3f + j is corner j's share of facet f's gradient; the zero last
-    # row is what the pads of ``slots`` gather.
-    contrib = np.empty((3 * num_f + 1, batch, flat.shape[1]))
-    contrib[-1] = 0.0
-    corner_rows = contrib[:-1].reshape(num_f, 3, batch, -1)
+    contrib = np.empty((3 * num_f, batch, flat.shape[1]))  # row 3f + j: corner j's share
     grad_coeffs = np.zeros_like(coeffs)
     for j, gather in enumerate(ctx.full_selection(batch)[0].gather):
-        corner_rows[:, j] = (dy @ fj[j]).reshape(num_f, batch, -1)
+        contrib[j::3] = (dy @ fj[j]).reshape(num_f, batch, -1)
         grad_coeffs += (dy.T @ flat.take(gather, axis=0))[:, :, None] * ctx.v2f_basis[j]
-    grad_x = contrib[ctx.slots[0]]  # summed over the ring slots, in slot order
-    for slot in ctx.slots[1:]:
-        grad_x += contrib[slot]
-    return _cols(grad_x), grad_coeffs
+    return _cols(_summed(ctx.vertex_corners, contrib)), grad_coeffs
 
 
 def _filters(basis, coeffs):
@@ -407,7 +403,7 @@ def f2v_backward_core(ctx, coeffs, h, grad_out):
     dv = np.ascontiguousarray(_rows(grad_out))  # (V, B, out)
     gathers, = ctx.full_selection(batch)[1].gather  # (D, V, B)
     grad_coeffs = 0.0  # (out * in, K)
-    dhe = np.empty(ctx.slots.shape + (batch, c_in))  # (D, V, B, in)
+    dhe = np.empty(ctx.slot_basis.shape[:2] + (batch, c_in))  # (D, V, B, in)
     for part in _vertex_chunks(len(dv), out_ch, c_in):
         dvp = dv[part]
         for d, (basis, gather) in enumerate(zip(ctx.slot_basis[:, part],
@@ -418,12 +414,7 @@ def f2v_backward_core(ctx, coeffs, h, grad_out):
             grad_coeffs += outer.reshape(-1, out_ch * c_in).T @ basis
             del outer
             np.matmul(dvp, _filters(basis, coeffs), out=dhe[d, part])
-    # Flat row corner_slot[3f + j] of dhe is corner j of facet f.
-    slot_rows = dhe.reshape(-1, batch, c_in)
-    corners = ctx.corner_slot.reshape(-1, 3)
-    grad_h = slot_rows[corners[:, 0]]
-    grad_h += slot_rows[corners[:, 1]]
-    grad_h += slot_rows[corners[:, 2]]
+    grad_h = _summed(ctx.facet_slots, dhe.reshape(-1, batch, c_in))  # corners 0, 1, 2
     return _cols(grad_h), grad_coeffs.reshape(out_ch, c_in, k)
 
 
@@ -471,7 +462,8 @@ def pool_max_core(x, clustering, return_argmax=False, *, rows=None):
     :class:`RowSelection` of the coarse entries, the max of each over its
     gathered member rows, as (C, P) rows."""
     index = clustering.table if rows is None else rows.gather
-    members = _padded_rows(x, -np.inf).take(index, axis=0)  # (Vc, D, ...)
+    fine = _rows(x)  # the -1 pads read a last -inf row
+    members = np.concatenate([fine, np.full_like(fine[:1], -np.inf)]).take(index, axis=0)
     out = members.max(axis=1)
     if not return_argmax:
         return _cols(out), None
@@ -498,7 +490,7 @@ def unpool_core(x, clustering, *, rows=None):
 
 
 def unpool_backward_core(grad_out, clustering):
-    return _cols(_padded_rows(grad_out, 0.0)[clustering.table].sum(axis=1))
+    return _cols(_summed(clustering.member_matrix, _rows(grad_out)))
 
 
 # ---------------------------------------------------------------------------

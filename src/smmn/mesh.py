@@ -9,13 +9,11 @@ order k-1 vertices, followed by edge midpoints in ascending
 (min, max) edge order.
 
 Variable-size neighbourhoods (the facets around a vertex or an edge,
-the members of a pooling cluster) are (N, D) tables padded with -1,
-all built by :func:`padded_groups`; a reduction over a neighbourhood
-is a gather through its table, with an identity element appended for
-the pads to gather (facet2vertex instead points its pads at a real
-facet under a zero weight), and a sum or max over the D columns.  All
-structures are immutable after construction and safe to share across
-threads.
+the members of a pooling cluster) list their ids in ascending order, as
+a sparse 0/1 :func:`group_matrix`, whose product with a row table sums
+each group's rows in that order, or as its -1-padded :func:`padded_groups`
+table, which gathers read.  All structures are immutable after
+construction and safe to share across threads.
 """
 
 from dataclasses import dataclass, field
@@ -23,6 +21,7 @@ from functools import cached_property
 import math
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.spatial import cKDTree
 
 from .errors import ConfigurationError, InvariantError, UsageError
@@ -40,17 +39,23 @@ def _normalize_rows(points):
     return points / norms
 
 
-def padded_groups(keys, n):
-    """Ids 0..len(keys)-1 grouped by key as an (n, D) table.
+def group_matrix(keys, n):
+    """Ids 0..len(keys)-1 grouped by key as an (n, len(keys)) 0/1 int32-indexed
+    ``csr_array``: row k lists the ids i with ``keys[i] == k`` in ascending
+    order, and a product with it sums each group's rows in that order."""
+    ids = np.arange(len(keys), dtype=np.int32)
+    return csr_array((np.ones(len(ids)), (np.asarray(keys, dtype=np.int32), ids)),
+                     shape=(n, len(ids)))
 
-    Row k lists the ids i with ``keys[i] == k`` in ascending order,
-    padded with -1 up to the largest group size D.
-    """
-    keys = np.asarray(keys, dtype=np.int64)
-    counts = np.bincount(keys, minlength=n)
+
+def padded_groups(keys, n):
+    """The rows of :func:`group_matrix` as an (n, D) table of ids, padded
+    with -1 up to the largest group size D."""
+    groups = group_matrix(keys, n)
+    counts = np.diff(groups.indptr)
     table = np.full((n, counts.max(initial=0)), -1, dtype=np.int64)
     # Boolean assignment fills row by row, in the order of the sorted ids.
-    table[np.arange(table.shape[1]) < counts[:, None]] = np.argsort(keys, kind="stable")
+    table[np.arange(table.shape[1]) < counts[:, None]] = groups.indices
     table.setflags(write=False)
     return table
 
@@ -291,16 +296,20 @@ class VertexClustering:
     """Assignment of fine-level vertices to coarse-level clusters.
 
     ``parent[v]`` is the coarse vertex owning fine vertex v; every coarse
-    vertex owns at least itself.  ``table`` is the (num_coarse, D) member
-    table of :func:`padded_groups`: row c lists cluster c's fine vertices
-    in ascending order, padded with -1.
+    vertex owns at least itself.  Row c of the (num_coarse, D) ``table``
+    (:func:`padded_groups`) and of the ``member_matrix`` (:func:`group_matrix`)
+    lists cluster c's fine vertices in ascending order.
     """
 
     parent: np.ndarray
 
     @cached_property
     def table(self):
-        return padded_groups(self.parent, int(self.parent.max()) + 1)
+        return padded_groups(self.parent, self.num_coarse)
+
+    @cached_property
+    def member_matrix(self):
+        return group_matrix(self.parent, self.num_coarse)
 
     @property
     def num_fine(self):
@@ -308,7 +317,7 @@ class VertexClustering:
 
     @property
     def num_coarse(self):
-        return len(self.table)
+        return int(self.parent.max()) + 1
 
     def members(self, c):
         row = self.table[c]

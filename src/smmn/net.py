@@ -587,8 +587,8 @@ def train(model, train_set, val_set, config, verbose=False):
     metric is comparable across epochs.  Fresh training masks are drawn
     every epoch.  The model keeps the parameters of the best validation
     epoch.  A sample whose features do not fit the model raises
-    :class:`ShapeError`; a non-finite train or val loss raises
-    :class:`DomainError`.
+    :class:`ShapeError`; a non-finite val loss, or a batch's non-finite
+    train loss, raises :class:`DomainError`, the latter before its step.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise UsageError("train and validation sets must be non-empty")
@@ -640,13 +640,13 @@ def train(model, train_set, val_set, config, verbose=False):
             xb, mask_matrix = masked_batch(model, feats_tr[idx], batch_masks)
             xhat, tape = forward_core(model, xb, ctx_tr[idx], record=True)
             loss, dxhat = batch_loss_and_grad(xhat, feats_tr[idx], batch_masks)
+            epoch_losses.append(float(loss) * len(idx))
+            _check_finite(epoch_losses[-1], f"epoch {epoch} train loss", lr)
             grads = backward_core(model, tape, dxhat, mask_matrix)
             opt.step(model.params, grads, lr, config.weight_decay)
             del tape, grads  # freed before the next batch and validation
-            epoch_losses.append(loss * len(idx))
         train_loss = math.fsum(epoch_losses) / len(train_set)
         val_loss = _evaluate(model, feats_va, ctx_va, val_masks, config.batch_size)
-        _check_finite(train_loss, f"epoch {epoch} train loss", lr)
         _check_finite(val_loss, f"epoch {epoch} val loss", lr)
         history.append(
             {"epoch": epoch, "lr": lr, "train_loss": train_loss, "val_loss": val_loss}

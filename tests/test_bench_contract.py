@@ -53,3 +53,25 @@ def test_tracer_times_the_sparse_detection_walk():
     assert {"anomaly.detect_all", "conv.f2v_fwd.l0", "conv.f2v_fwd.l1",
             "conv.v2f_fwd.l0", "conv.v2f_fwd.l1"} <= names
     assert tracer.counts["anomaly.roi_passes"] == 14
+
+
+def test_tracer_times_every_backward_core():
+    # Each backward fold runs inside a traced core; one that stopped doing
+    # so would read 0 in its per-layer metrics without a word.
+    model = net.MMNModel(net.ModelConfig(input_order=2, channels=(8, 12)))
+    rng = np.random.default_rng(0)
+    num_v = model.num_input_vertices
+    feats = rng.standard_normal((2, 1, num_v))
+    masks = [net.sample_mask(num_v, 0.5, rng) for _ in range(2)]
+    xb, mask_matrix = net.masked_batch(model, feats, masks)
+    xhat, tape = net.forward_core(model, xb, rng.standard_normal((2, 2)), record=True)
+    _, dxhat = net.batch_loss_and_grad(xhat, feats, masks)
+    tracer = _tracing_module().Tracer(input_order=2)
+    tracer.install()
+    try:
+        net.backward_core(model, tape, dxhat, mask_matrix)
+    finally:
+        tracer.uninstall()
+    names = {span[1] for span in tracer.spans}
+    assert {"net.backward", "conv.v2f_bwd.l0", "conv.v2f_bwd.l1", "conv.f2v_bwd.l0",
+            "conv.f2v_bwd.l1", "conv.pool_bwd", "conv.unpool_bwd"} <= names

@@ -586,6 +586,83 @@ def test_f2v_vertex_chunks_match_one_chunk(chunk_rows, surface, request,
     assert np.sum(fwd * z) == pytest.approx(np.sum(c * grad_c), rel=1e-12)
 
 
+@pytest.mark.parametrize("surface", ["icosphere", "hull"])
+def test_backward_folds_sum_in_their_documented_order(surface, request):
+    # Each backward neighbourhood sum equals, to the bit, a loop that adds
+    # its rows in the documented order: a vertex's corners in ascending id
+    # (vertex2facet), a facet's corners j = 0, 1, 2 (facet2vertex) and a
+    # cluster's members in ascending id (unpool).  The rows summed are made
+    # by the same array expressions the cores use.
+    m = request.getfixturevalue(surface) if surface == "hull" else mesh.icosphere(2)
+    ctx = conv.conv_context(m, 3)
+    rng = np.random.default_rng(15)
+    batch, out_ch, in_ch = 3, 2, 4
+    v, f = ctx.num_vertices, ctx.num_facets
+    c = rng.standard_normal((out_ch, in_ch, spharm.num_coefficients(3)))
+    corner_vertex = m.facets.reshape(-1)
+
+    x = rng.standard_normal((batch, in_ch, v))
+    y = rng.standard_normal((batch, out_ch, f))
+    fj = np.einsum("oik,jk->joi", c, ctx.v2f_basis)
+    dy = np.moveaxis(y, -1, 0).reshape(-1, out_ch)
+    shares = np.stack([(dy @ fj[j]).reshape(f, batch, in_ch) for j in range(3)], 1)
+    expected = np.zeros((v, batch, in_ch))
+    for corner, share in enumerate(shares.reshape(3 * f, batch, in_ch)):
+        expected[corner_vertex[corner]] += share
+    grad_x, _ = conv.v2f_backward_core(ctx, c, x, y)
+    np.testing.assert_array_equal(np.moveaxis(grad_x, -1, 0), expected)
+
+    h = rng.standard_normal((batch, in_ch, f))
+    z = rng.standard_normal((batch, out_ch, v))
+    assert len(conv._vertex_chunks(v, out_ch, in_ch)) == 1
+    dv = np.moveaxis(z, -1, 0)
+    slot_share = [np.matmul(dv, conv._filters(basis, c)) for basis in ctx.slot_basis]
+    expected = np.zeros((f, batch, in_ch))
+    for corner in range(3 * f):
+        vertex = corner_vertex[corner]
+        slot = np.flatnonzero(m.one_ring[vertex] == corner)[0]
+        expected[corner // 3] += slot_share[slot][vertex]
+    grad_h, _ = conv.f2v_backward_core(ctx, c, h, z)
+    np.testing.assert_array_equal(np.moveaxis(grad_h, -1, 0), expected)
+
+    if surface == "hull":  # uneven clusters, each owning its own vertex
+        coarse = v // 4
+        clustering = mesh.VertexClustering(np.concatenate(
+            [np.arange(coarse), rng.integers(0, coarse, v - coarse)]))
+    else:
+        clustering = mesh.build_hierarchy(2).clustering(2)
+    grad = rng.standard_normal((batch, in_ch, v))
+    expected = np.zeros((clustering.num_coarse, batch, in_ch))
+    for fine, parent in enumerate(clustering.parent):
+        expected[parent] += np.moveaxis(grad, -1, 0)[fine]
+    summed = conv.unpool_backward_core(grad, clustering)
+    np.testing.assert_array_equal(np.moveaxis(summed, -1, 0), expected)
+
+
+def test_f2v_backward_peak_is_its_fold_buffer_and_one_gradient():
+    # Past the slot loop, the backward holds its (D, V, B, in) fold buffer
+    # and the (F, B, in) input gradient it folds into, and no second
+    # gradient-sized temporary.  At 4 channels the chunk temporaries are
+    # small beside these.
+    m = mesh.icosphere(4)
+    ctx = conv.conv_context(m, 3)
+    rng = np.random.default_rng(16)
+    batch, ch = 8, 4
+    c = rng.standard_normal((ch, ch, spharm.num_coefficients(3)))
+    h = np.moveaxis(rng.standard_normal((ctx.num_facets, batch, ch)), 0, -1)
+    z = np.moveaxis(rng.standard_normal((ctx.num_vertices, batch, ch)), 0, -1)
+    fold_buffer = ctx.slot_basis.shape[0] * ctx.num_vertices * batch * ch * 8
+    gradient = ctx.num_facets * batch * ch * 8
+    conv.f2v_backward_core(ctx, c, h, z)  # builds the cached full selection
+    tracemalloc.start()
+    try:
+        conv.f2v_backward_core(ctx, c, h, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < fold_buffer + 1.5 * gradient
+
+
 def test_f2v_calls_never_hold_a_full_mesh_filter():
     # At order 4 and 32x32 channels one (V, out, in) filter stack is 20 MiB;
     # the cores build their filters in vertex chunks of at most 8 MiB, so

@@ -119,6 +119,11 @@ def test_padded_groups_table():
     np.testing.assert_array_equal(table, [[1, 4, -1], [-1, -1, -1], [0, 2, 3],
                                           [-1, -1, -1]])
     assert mesh.padded_groups([], 2).shape == (2, 0)
+    groups = mesh.group_matrix([2, 0, 2, 2, 0], 4)
+    np.testing.assert_array_equal(groups.toarray(), [[0, 1, 0, 0, 1], [0] * 5,
+                                                     [1, 0, 1, 1, 0], [0] * 5])
+    np.testing.assert_array_equal(groups.indices, [1, 4, 0, 2, 3])
+    assert groups.indices.dtype == groups.indptr.dtype == np.int32
 
 
 def test_edge_facets_are_the_two_facets_on_each_edge():

@@ -530,6 +530,27 @@ def test_train_rejects_loss_that_turns_non_finite(monkeypatch):
         net.train(net.MMNModel(cfg), data[:6], data[6:], tc)
 
 
+def test_train_stops_at_the_first_non_finite_batch_loss(monkeypatch):
+    # At lr 1e300 the first step blows the parameters up, so the next batch
+    # loss is not finite; no step may follow it.
+    cfg = net.ModelConfig(input_order=1, channels=(3,), in_channels=1,
+                          channel_names=("x",), seed=0)
+    data = _make_dataset(1, 8, 3)
+    steps = []
+    step = net.AdamW.step
+
+    def counted(self, *args):
+        steps.append(1)
+        return step(self, *args)
+
+    monkeypatch.setattr(net.AdamW, "step", counted)
+    tc = net.TrainConfig(epochs=1, lr=1e300, seed=0, batch_size=1)
+    with np.errstate(all="ignore"), pytest.raises(
+            DomainError, match=r"epoch 1 train loss is .*learning rate 1e\+300"):
+        net.train(net.MMNModel(cfg), data[:6], data[6:], tc)
+    assert len(steps) <= 1
+
+
 def test_train_rejects_empty_sets(tiny_model):
     with pytest.raises(UsageError):
         net.train(tiny_model, [], [], net.TrainConfig())
