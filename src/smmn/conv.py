@@ -31,24 +31,23 @@ cost no copy.
 
 A forward core computes the (row, batch) entries of a :class:`RowSelection`,
 reading its input rows through the selection's flat gather indices:
-vertex2facet as three GEMMs on the facets' corner rows, facet2vertex with
-each active vertex's filters on its facet rows, a pool as the max of its
-members' rows, an unpool as a copy of its parent's row.  A dense call is
-the identity case: the context's cached full selection reads row
-n * B + b of the (N, B, C) table and writes that table.  ROI-masked
-detection (:mod:`smmn.anomaly`) runs partial selections on compact
-tables: a core takes and gives the (C, P) rows of the selected entries
-only, followed, in the encoder, by one base row per table row, which
-every unselected entry reads.  facet2vertex, forward and backward, runs
-over vertex chunks and, within a chunk, one ring slot at a time, so its
-(rows, out, in) filter temporaries follow a fixed byte budget, not the
-mesh; each vertex still sums its slots in slot order.  One call builds
-each (chunk, slot) filter stack once and applies it to every group of
-rows it computes (detection's ROI rows and base rows).  A slot past a
-vertex's degree reads the vertex's first facet under a zero basis (in
-the facet2vertex backward too).  The dense pool's -1 pads read an appended
--inf row.  Every backward neighbourhood sum (a vertex's corners, a facet's
-ring slots, a cluster's members) is one cached sparse 0/1 matrix product.
+vertex2facet as three GEMMs on the facets' corner rows, facet2vertex as each
+active vertex's filtered ring sum of its facet rows, a pool as the max of
+its members' rows, an unpool as its parent's row.  A dense call is the
+identity case: the context's cached full selection reads row n * B + b of
+the (N, B, C) table and writes that table.  ROI-masked detection
+(:mod:`smmn.anomaly`) runs partial selections on compact tables: a core
+takes and gives the (C, P) rows of the selected entries only, followed, in
+the encoder, by one base row per table row, which every unselected entry
+reads.  facet2vertex, forward and backward, picks one of two bodies by their
+multiply-add counts: at small batches it sums each filter term over the ring
+first and mixes channels after, the patch-operator form of MoNet (Monti et
+al., 2017); at large batches it builds each vertex's (out, in) filters, one
+ring slot at a time.  Both run over vertex chunks of a fixed byte budget,
+not the mesh.  A slot past a vertex's degree reads its first facet under a
+zero basis.  The dense pool's -1 pads read an appended -inf row.  Every
+backward neighbourhood sum (a vertex's corners, a facet's ring slots, a
+cluster's members) is one cached sparse 0/1 matrix product.
 """
 
 from dataclasses import dataclass
@@ -66,8 +65,10 @@ LEAKY_SLOPE = 0.01
 _V2F_ANGLES = ((np.pi / 2.0, 0.0), (np.pi / 2.0, np.pi / 2.0), (0.0, 0.0))
 
 # Bytes of one (rows, out, in) facet2vertex temporary: the filters of a
-# vertex chunk at one ring slot, or the backward's outer products.
+# vertex chunk at one ring slot, or the backward's outer products; and of
+# one (K, rows, B·in) aggregate, a vertex chunk that stays in L2 cache.
 _F2V_CHUNK_BYTES = 8 * 2**20
+_F2V_AGGREGATE_BYTES = 2**20
 
 
 @dataclass
@@ -288,8 +289,8 @@ class RowSelection:
     facet corners for vertex2facet, (P, D) cluster members with -1 pads
     for a pool, (P,) parents for an unpool.  For facet2vertex it is a list
     of (D, A, W) groups, ring slot d of A vertices at W batch ids padded
-    to one width.  ``active`` lists the vertices whose filters the core
-    builds (None for all, in order), and each group's A vertices lead it.
+    to one width.  ``active`` lists the vertices whose basis rows the core
+    reads (None for all, in order), and each group's A vertices lead it.
     ``order`` picks the output rows from the groups' padded rows laid end
     to end (None if they are the output already).
     """
@@ -346,17 +347,18 @@ def v2f_backward_core(ctx, coeffs, x, grad_out):
     return _cols(_summed(ctx.vertex_corners, contrib)), grad_coeffs
 
 
-def _filters(basis, coeffs):
-    """Filter matrices F(theta, phi) at (V, K) basis rows, as (V, out, in).
+def _row_product(a, b):
+    """``a @ b`` for a stack of (rows, n) matrices, each row computed as it
+    is among many: numpy runs a one-row product as a GEMV, which rounds
+    otherwise, so a single row is computed as two."""
+    return np.matmul(a if a.shape[-2] > 1 else a.repeat(2, axis=-2), b)[..., :a.shape[-2], :]
 
-    One GEMM, whose rows do not depend on how many there are; a single row
-    is computed as two, since numpy runs a one-row product as a GEMV,
-    which rounds otherwise.
-    """
+
+def _filters(basis, coeffs):
+    """Filter matrices F(theta, phi) at (V, K) basis rows, as (V, out, in)."""
     out_ch, in_ch, k = coeffs.shape
-    rows = basis if len(basis) != 1 else basis.repeat(2, axis=0)
-    flat = rows @ coeffs.reshape(out_ch * in_ch, k).T
-    return flat[:len(basis)].reshape(-1, out_ch, in_ch)
+    flat = _row_product(basis, coeffs.reshape(out_ch * in_ch, k).T)
+    return flat.reshape(-1, out_ch, in_ch)
 
 
 def _vertex_chunks(count, out_ch, in_ch):
@@ -366,22 +368,62 @@ def _vertex_chunks(count, out_ch, in_ch):
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
+def _aggregates_first(ctx, batch, out_ch):
+    """Whether facet2vertex at batch size ``batch`` (a selection's mask
+    width) and ``out_ch`` outputs sums over the ring before mixing channels
+    (:func:`_aggregates`) instead of building filters: per (vertex, batch)
+    row and input channel K·(D + out) multiply-adds against D·out·(1 + K/B),
+    twice each in the backward.  Filters win at large B and narrow outputs."""
+    slots, _, k = ctx.slot_basis.shape
+    return k * (slots + out_ch) * batch < slots * out_ch * (batch + k)
+
+
+def _aggregates(ctx, flat, gather, active):
+    """Per vertex chunk of a (D, A, W) facet2vertex ``gather`` group, its
+    slice and the (K, rows, W·in) sums a[k, a] = sum_d slot_basis[d, a, k]
+    flat[gather[d, a]] (``active`` as in :class:`RowSelection`), in one
+    reused buffer of at most _F2V_AGGREGATE_BYTES."""
+    slots, count, width = gather.shape
+    k, width = ctx.slot_basis.shape[2], width * flat.shape[1]
+    step = max(1, _F2V_AGGREGATE_BYTES // (8 * k * width))
+    buffer = np.empty((k, min(step, count), width))
+    for lo in range(0, count, step):
+        part = slice(lo, min(lo + step, count))
+        basis = ctx.slot_basis[:, part if active is None else active[part]]
+        agg = buffer[:, :part.stop - lo]
+        np.matmul(basis.transpose(1, 2, 0),  # (rows, K, D) @ (rows, D, W·in)
+                  flat.take(gather[:, part].transpose(1, 0, 2), axis=0).reshape(
+                      -1, slots, width), out=agg.transpose(1, 0, 2))
+        yield part, agg
+
+
 def f2v_forward_core(ctx, h, coeffs, *, rows=None):
     """Vertex features at the (vertex, batch) pairs of ``rows``, a
-    :class:`RowSelection` of the (V, B) table (every pair by default):
-    each active vertex's filters applied to its gathered facet rows, in
-    vertex chunks (:func:`_vertex_chunks`), summed over the ring slots in
-    slot order.  Each (chunk, slot) filter stack is built once and serves
-    every group of the selection."""
+    :class:`RowSelection` of the (V, B) table (every pair by default).
+    Where :func:`_aggregates_first` holds, one GEMM per filter term mixes
+    each group's ring sums (:func:`_aggregates`), added in term order; else
+    each active vertex's filters, built once per (chunk, slot) for every
+    group, apply to its facet rows (:func:`_vertex_chunks`), added in slot
+    order.  A row's bits do not depend on the other rows."""
     rows = rows or ctx.full_selection(h.shape[0])[1]
+    out_ch, in_ch, k = coeffs.shape
     flat = _flat(h)
     sizes = [gather[0].size for gather in rows.gather]
-    picked = np.zeros((sum(sizes), len(coeffs)))
+    picked = np.zeros((sum(sizes), out_ch))
     accs = [acc.reshape(gather.shape[1:] + (-1,)) for acc, gather in  # (A, W, out)
             zip(np.split(picked, np.cumsum(sizes)[:-1]), rows.gather)]
     active = rows.active
+    if _aggregates_first(ctx, rows.mask.shape[1], out_ch):
+        mix = np.ascontiguousarray(coeffs.transpose(2, 1, 0))  # (K, in, out)
+        for acc, gather in zip(accs, rows.gather):
+            for part, agg in _aggregates(ctx, flat, gather, active):
+                chunk = acc[part].reshape(-1, out_ch)
+                for term in _row_product(agg.reshape(k, -1, in_ch), mix):
+                    chunk += term
+                del term  # and with it the chunk's (K, rows, out) products
+        return rows.result(picked)
     count = ctx.num_vertices if active is None else len(active)
-    for part in _vertex_chunks(count, *coeffs.shape[:2]):
+    for part in _vertex_chunks(count, out_ch, in_ch):
         basis = ctx.slot_basis[:, part if active is None else active[part]]
         for d in range(len(basis)):
             filters = _filters(basis[d], coeffs).transpose(0, 2, 1)
@@ -395,25 +437,40 @@ def f2v_forward_core(ctx, h, coeffs, *, rows=None):
 
 def f2v_backward_core(ctx, coeffs, h, grad_out):
     """Gradients of :func:`f2v_forward_core` on the full selection, (input,
-    coeffs), in the forward's vertex chunks and slot order; the coefficient
-    gradient sums the chunks in vertex order."""
+    coeffs), by the forward's path: a chunk's aggregate, made again, gives
+    the coefficient gradient dyᵀ a[k], then holds its own gradient dy C_k,
+    which the basis spreads over the ring slots; or the forward's chunks
+    and slot order.  One CSR product folds the (D, V, B, in) slot shares
+    into facet rows, corners 0, 1, 2 in order."""
     out_ch, c_in, k = coeffs.shape
     batch = h.shape[0]
     flat = _flat(h)
     dv = np.ascontiguousarray(_rows(grad_out))  # (V, B, out)
     gathers, = ctx.full_selection(batch)[1].gather  # (D, V, B)
-    grad_coeffs = 0.0  # (out * in, K)
     dhe = np.empty(ctx.slot_basis.shape[:2] + (batch, c_in))  # (D, V, B, in)
-    for part in _vertex_chunks(len(dv), out_ch, c_in):
-        dvp = dv[part]
-        for d, (basis, gather) in enumerate(zip(ctx.slot_basis[:, part],
-                                                gathers[:, part])):
-            # The (rows, out, in) outer products and the gathered rows are
-            # temporaries, freed before the filters are built.
-            outer = np.matmul(dvp.transpose(0, 2, 1), flat.take(gather, axis=0))
-            grad_coeffs += outer.reshape(-1, out_ch * c_in).T @ basis
-            del outer
-            np.matmul(dvp, _filters(basis, coeffs), out=dhe[d, part])
+    if _aggregates_first(ctx, batch, out_ch):
+        mix = np.ascontiguousarray(coeffs.transpose(2, 0, 1))  # (K, out, in)
+        grad_coeffs = np.zeros((k, out_ch, c_in))
+        for part, agg in _aggregates(ctx, flat, gathers, None):
+            dy = dv[part].reshape(-1, out_ch)  # (rows·B, out)
+            grad_coeffs += np.matmul(dy.T, agg.reshape(k, -1, c_in))
+            np.matmul(dy, mix, out=agg.reshape(k, -1, c_in))  # the gradient, in place
+            np.matmul(ctx.slot_basis[:, part].transpose(1, 0, 2), agg.transpose(1, 0, 2),
+                      out=dhe[:, part].reshape(len(dhe), -1, batch * c_in).transpose(1, 0, 2))
+        del agg  # the chunk buffer, freed before the fold
+        grad_coeffs = grad_coeffs.reshape(k, -1).T  # (out * in, K)
+    else:
+        grad_coeffs = 0.0  # (out * in, K)
+        for part in _vertex_chunks(len(dv), out_ch, c_in):
+            dvp = dv[part]
+            for d, (basis, gather) in enumerate(zip(ctx.slot_basis[:, part],
+                                                    gathers[:, part])):
+                # The (rows, out, in) outer products and the gathered rows
+                # are temporaries, freed before the filters are built.
+                outer = np.matmul(dvp.transpose(0, 2, 1), flat.take(gather, axis=0))
+                grad_coeffs += outer.reshape(-1, out_ch * c_in).T @ basis
+                del outer
+                np.matmul(dvp, _filters(basis, coeffs), out=dhe[d, part])
     grad_h = _summed(ctx.facet_slots, dhe.reshape(-1, batch, c_in))  # corners 0, 1, 2
     return _cols(grad_h), grad_coeffs.reshape(out_ch, c_in, k)
 

@@ -559,6 +559,7 @@ def _stack_samples(model, samples):
     return feats, ctxn
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in train
 def _evaluate(model, feats, ctxn, masks, batch_size):
     total = []
     for lo in range(0, len(feats), batch_size):
@@ -588,7 +589,8 @@ def train(model, train_set, val_set, config, verbose=False):
     every epoch.  The model keeps the parameters of the best validation
     epoch.  A sample whose features do not fit the model raises
     :class:`ShapeError`; a non-finite val loss, or a batch's non-finite
-    train loss, raises :class:`DomainError`, the latter before its step.
+    train loss, raises :class:`DomainError`, the latter before its step;
+    an overflow in a batch or a validation pass raises no numpy warning.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise UsageError("train and validation sets must be non-empty")
@@ -637,12 +639,13 @@ def train(model, train_set, val_set, config, verbose=False):
         for lo in range(0, len(order), config.batch_size):
             idx = order[lo : lo + config.batch_size]
             batch_masks = [masks[i] for i in idx]
-            xb, mask_matrix = masked_batch(model, feats_tr[idx], batch_masks)
-            xhat, tape = forward_core(model, xb, ctx_tr[idx], record=True)
-            loss, dxhat = batch_loss_and_grad(xhat, feats_tr[idx], batch_masks)
-            epoch_losses.append(float(loss) * len(idx))
-            _check_finite(epoch_losses[-1], f"epoch {epoch} train loss", lr)
-            grads = backward_core(model, tape, dxhat, mask_matrix)
+            with np.errstate(over="ignore", invalid="ignore"):
+                xb, mask_matrix = masked_batch(model, feats_tr[idx], batch_masks)
+                xhat, tape = forward_core(model, xb, ctx_tr[idx], record=True)
+                loss, dxhat = batch_loss_and_grad(xhat, feats_tr[idx], batch_masks)
+                epoch_losses.append(float(loss) * len(idx))
+                _check_finite(epoch_losses[-1], f"epoch {epoch} train loss", lr)
+                grads = backward_core(model, tape, dxhat, mask_matrix)
             opt.step(model.params, grads, lr, config.weight_decay)
             del tape, grads  # freed before the next batch and validation
         train_loss = math.fsum(epoch_losses) / len(train_set)

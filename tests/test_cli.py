@@ -3,6 +3,7 @@ import importlib.util
 import json
 from pathlib import Path
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -266,6 +267,21 @@ def test_train_manifest_subject_without_channel_file_exits_2(tmp_path, capsys):
         str(tmp_path / "train.cfg"), "--out", str(tmp_path / "run"),
     )
     assert str(manifest) in err and "'sub-0'" in err and "'thickness'" in err
+
+
+def test_train_blow_up_exits_2_without_numpy_warnings(tmp_path, capsys):
+    # At lr 1e300 the first step makes the next batch's forward overflow;
+    # that must reach the user as the typed error alone.
+    manifest = _synth_order_1(tmp_path)
+    (tmp_path / "train.cfg").write_text(
+        "order = 1\nchannels = 2\nepochs = 1\nlr = 1e300\nbatch_size = 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _exit_2_without_traceback(
+            capsys, "train", "--manifest", str(manifest), "--config",
+            str(tmp_path / "train.cfg"), "--out", str(tmp_path / "run"),
+        )
+    assert "train loss is nan" in err and "learning rate 1e+300" in err
 
 
 def test_train_subject_container_without_channel_exits_2(tmp_path, capsys):

@@ -687,6 +687,150 @@ def test_f2v_calls_never_hold_a_full_mesh_filter():
         assert peak < full_filter
 
 
+def test_f2v_path_rule_picks_by_multiply_adds():
+    # Per (vertex, batch) row and input channel, aggregating first costs
+    # K·(D + out) multiply-adds and filters D·out·(1 + K/B).  At the
+    # icosphere's D = 6 and K = 16, the order-6 benchmark's B <= 2 calls at
+    # 16 and 32 channels aggregate; B = 20 training, 34-ROI detection and
+    # every 1x1 call build filters.
+    ctx = conv.conv_context(mesh.icosphere(2), 3)
+    assert ctx.slot_basis.shape[::2] == (6, 16)
+    for batch in (1, 2):
+        for width in (16, 32):
+            assert conv._aggregates_first(ctx, batch, width)
+    for batch, width in [(20, 16), (20, 32), (34, 16), (34, 32), (1, 1), (2, 1), (20, 1)]:
+        assert not conv._aggregates_first(ctx, batch, width)
+
+
+def _f2v_calls(ctx, c, h, z, partial):
+    return (conv.f2v_forward_core(ctx, h, c),
+            conv.f2v_forward_core(ctx, h, c, rows=partial),
+            *conv.f2v_backward_core(ctx, c, h, z))
+
+
+@pytest.mark.parametrize("surface", ["icosphere", "hull"])
+@pytest.mark.parametrize("batch", [1, 2, 3, 7])
+def test_f2v_paths_agree(batch, surface, request, monkeypatch):
+    # Aggregating first and building filters reassociate the same sums:
+    # forward outputs (full and partial selections) and the input and
+    # coefficient gradients agree within 1e-14 of their largest entry, at
+    # widths in < out, in > out, 1x1 and 16x16.  Aggregate chunks of 3
+    # vertices (ragged at the end) change no forward bit, full or partial.
+    m = request.getfixturevalue(surface) if surface == "hull" else mesh.icosphere(2)
+    ctx = conv.conv_context(m, 3)
+    rng = np.random.default_rng(17)
+    mask = rng.random((ctx.num_vertices, batch)) < 0.3
+    mask[0], mask[1] = False, True
+    _, partial = ctx.select(np.ones((ctx.num_facets, batch), bool), mask)
+    for in_ch, out_ch in [(3, 5), (6, 2), (1, 1), (16, 16)]:
+        c = rng.standard_normal((out_ch, in_ch, spharm.num_coefficients(3)))
+        h = rng.standard_normal((batch, in_ch, ctx.num_facets))
+        z = rng.standard_normal((batch, out_ch, ctx.num_vertices))
+        runs = {}
+        for aggregate, chunk_bytes in [(False, None), (True, None), (True, 3)]:
+            with monkeypatch.context() as patch:
+                patch.setattr(conv, "_aggregates_first", lambda *args: aggregate)
+                if chunk_bytes:
+                    patch.setattr(conv, "_F2V_AGGREGATE_BYTES",
+                                  8 * 16 * batch * in_ch * chunk_bytes)
+                runs[aggregate, chunk_bytes] = _f2v_calls(ctx, c, h, z, partial)
+        for filtered, aggregated in zip(runs[False, None], runs[True, None]):
+            np.testing.assert_allclose(aggregated, filtered, rtol=0,
+                                       atol=1e-14 * np.abs(filtered).max())
+        for one, chunked in zip(runs[True, None][:2], runs[True, 3][:2]):
+            np.testing.assert_array_equal(one, chunked)
+
+
+@pytest.mark.parametrize("aggregate", [True, False])
+def test_f2v_paths_pass_the_fd_and_adjoint_oracles(aggregate, hull, monkeypatch):
+    monkeypatch.setattr(conv, "_aggregates_first", lambda *args: aggregate)
+    ctx = conv.conv_context(hull, 2)
+    rng = np.random.default_rng(19)
+    c = rng.standard_normal((2, 3, 9))
+    h = rng.standard_normal((2, 3, hull.num_facets))
+    z = rng.standard_normal((2, 2, hull.num_vertices))
+    bh = conv.f2v_forward_core(ctx, h, c)
+    gh, gc = conv.f2v_backward_core(ctx, c, h, z)
+    assert np.sum(bh * z) == pytest.approx(np.sum(h * gh), rel=1e-12)
+    assert np.sum(bh * z) == pytest.approx(np.sum(c * gc), rel=1e-12)
+    fd = _fd_coeff_gradient(lambda cc: conv.f2v_forward_core(ctx, h, cc), c, z)
+    assert (np.abs(gc - fd) / np.maximum(np.abs(fd), 1e-8)).max() < 1e-4
+    step, direction = 1e-6, rng.standard_normal(h.shape)
+    fd_dir = np.sum((conv.f2v_forward_core(ctx, h + step * direction, c)
+                     - conv.f2v_forward_core(ctx, h - step * direction, c)) * z) / (2 * step)
+    assert abs(fd_dir - np.sum(direction * gh)) < 1e-4 * abs(fd_dir)
+
+
+@pytest.mark.parametrize("surface", ["icosphere", "hull"])
+def test_aggregate_backward_folds_sum_in_their_documented_order(surface, request):
+    # Aggregating first, a vertex's slot shares are its basis rows times
+    # the aggregate's gradient dy C_k; the input gradient adds them, to the
+    # bit, over a facet's corners j = 0, 1, 2.
+    m = request.getfixturevalue(surface) if surface == "hull" else mesh.icosphere(2)
+    ctx = conv.conv_context(m, 3)
+    rng = np.random.default_rng(18)
+    batch, ch, k = 2, 16, spharm.num_coefficients(3)
+    v, f = ctx.num_vertices, ctx.num_facets
+    assert conv._aggregates_first(ctx, batch, ch)
+    c = rng.standard_normal((ch, ch, k))
+    h = rng.standard_normal((batch, ch, f))
+    z = rng.standard_normal((batch, ch, v))
+    dy = np.moveaxis(z, -1, 0).reshape(-1, ch)
+    grad_agg = np.matmul(dy, np.ascontiguousarray(c.transpose(2, 0, 1)))  # (K, V·B, in)
+    shares = np.matmul(ctx.slot_basis.transpose(1, 0, 2),
+                       grad_agg.reshape(k, v, -1).transpose(1, 0, 2))  # (V, D, B·in)
+    expected = np.zeros((f, batch * ch))
+    for corner, vertex in enumerate(m.facets.reshape(-1)):
+        slot = np.flatnonzero(m.one_ring[vertex] == corner)[0]
+        expected[corner // 3] += shares[vertex, slot]
+    grad_h, _ = conv.f2v_backward_core(ctx, c, h, z)
+    np.testing.assert_array_equal(np.moveaxis(grad_h, -1, 0).reshape(f, -1), expected)
+
+
+def test_f2v_aggregate_peaks_hold_no_full_aggregate():
+    # Aggregating first at order 4, B = 2 and 16 channels, the backward
+    # peaks below its (D, V, B, in) fold buffer plus 1.5 (F, B, in)
+    # gradients, and neither call holds the (K, V, B, in) aggregate of the
+    # whole mesh (10 MiB): each works on one chunk buffer of 1 MiB.
+    m = mesh.icosphere(4)
+    ctx = conv.conv_context(m, 3)
+    rng = np.random.default_rng(20)
+    batch, ch, k = 2, 16, spharm.num_coefficients(3)
+    assert conv._aggregates_first(ctx, batch, ch)
+    c = rng.standard_normal((ch, ch, k))
+    h = np.moveaxis(rng.standard_normal((ctx.num_facets, batch, ch)), 0, -1)
+    z = np.moveaxis(rng.standard_normal((ctx.num_vertices, batch, ch)), 0, -1)
+    fold_buffer = ctx.slot_basis.shape[0] * ctx.num_vertices * batch * ch * 8
+    gradient = ctx.num_facets * batch * ch * 8
+    aggregate = k * ctx.num_vertices * batch * ch * 8
+    peaks = []
+    for call in (lambda: conv.f2v_forward_core(ctx, h, c),
+                 lambda: conv.f2v_backward_core(ctx, c, h, z)):
+        call()  # builds the cached full selection outside the trace
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < aggregate / 2
+    assert peaks[1] < fold_buffer + 1.5 * gradient < fold_buffer + aggregate
+
+
+@pytest.mark.parametrize("order, above_1e12, above_1e6",
+                         [(3, 16, 10), (4, 15, 10), (5, 13, 8), (6, 13, 6)])
+def test_slot_basis_rank_falls_with_the_order(order, above_1e12, above_1e6):
+    # The facet-normal angle shrinks with the mesh spacing, so the 16
+    # filter terms sampled at the ring slots grow nearly collinear: fewer
+    # relative singular values of the (D·V, 16) basis stay above 1e-12 and
+    # 1e-6 as the order rises.  None lies within 5 % of either threshold.
+    basis = conv.conv_context(mesh.icosphere(order), 3).slot_basis
+    s = np.linalg.svd(basis.reshape(-1, basis.shape[2]), compute_uv=False)
+    rel = s / s[0]
+    for threshold, count in ((1e-12, above_1e12), (1e-6, above_1e6)):
+        assert (rel > 1.05 * threshold).sum() == (rel > threshold / 1.05).sum() == count
+
+
 def test_feature_map_validation():
     with pytest.raises(ShapeError):
         conv.FeatureMap(np.zeros((2, 13)), level=0)  # wrong V for level
