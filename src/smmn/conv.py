@@ -39,15 +39,13 @@ the (N, B, C) table and writes that table.  ROI-masked detection
 (:mod:`smmn.anomaly`) runs partial selections on compact tables: a core
 takes and gives the (C, P) rows of the selected entries only, followed, in
 the encoder, by one base row per table row, which every unselected entry
-reads.  facet2vertex, forward and backward, picks one of two bodies by their
-multiply-add counts: at small batches it sums each filter term over the ring
-first and mixes channels after, the patch-operator form of MoNet (Monti et
-al., 2017); at large batches it builds each vertex's (out, in) filters, one
-ring slot at a time.  Both run over vertex chunks of a fixed byte budget,
-not the mesh.  A slot past a vertex's degree reads its first facet under a
-zero basis.  The dense pool's -1 pads read an appended -inf row.  Every
-backward neighbourhood sum (a vertex's corners, a facet's ring slots, a
-cluster's members) is one cached sparse 0/1 matrix product.
+reads.  facet2vertex, forward and backward, sums each filter term over the
+ring first and mixes channels after, the patch-operator form of MoNet (Monti
+et al., 2017), over vertex chunks of a fixed byte budget, not the mesh.  A
+slot past a vertex's degree reads its first facet under a zero basis.  The
+dense pool's -1 pads read an appended -inf row.  Every backward
+neighbourhood sum (a vertex's corners, a facet's ring slots, a cluster's
+members) is one cached sparse 0/1 matrix product.
 """
 
 from dataclasses import dataclass
@@ -64,10 +62,8 @@ LEAKY_SLOPE = 0.01
 # Fixed vertex2facet filter angles for corners (h1, h2, h3).
 _V2F_ANGLES = ((np.pi / 2.0, 0.0), (np.pi / 2.0, np.pi / 2.0), (0.0, 0.0))
 
-# Bytes of one (rows, out, in) facet2vertex temporary: the filters of a
-# vertex chunk at one ring slot, or the backward's outer products; and of
-# one (K, rows, B·in) aggregate, a vertex chunk that stays in L2 cache.
-_F2V_CHUNK_BYTES = 8 * 2**20
+# Bytes of one (K, rows, B·in) facet2vertex aggregate: a vertex chunk that
+# stays in L2 cache.
 _F2V_AGGREGATE_BYTES = 2**20
 
 
@@ -132,8 +128,7 @@ class ConvContext:
     filter basis there over the vertex degree (slot sums are then
     facet2vertex's means), zero past the degree.  ``slot_facets`` holds
     the facet ids; a slot past the degree repeats the vertex's first
-    facet, a row the vertex reads anyway.  The facet2vertex cores slice
-    these by vertex chunk.  Row v of the 0/1 ``csr_array``
+    facet, a row the vertex reads anyway.  Row v of the 0/1 ``csr_array``
     ``vertex_corners`` (V, 3F) lists vertex v's corners in ascending id,
     row f of ``facet_slots`` (F, D·V) the flat slots of corners 3f, 3f + 1,
     3f + 2 in that order.  :meth:`full_selection` caches dense selections.
@@ -194,18 +189,16 @@ class ConvContext:
         ids = np.where(valid, ids, ids[:, :1])
         gather = [slot_reads[self.slot_facets[:, active, None], ids]]
         order = np.flatnonzero(valid)
-        if base:
-            # The base rows of every vertex, the selected ones' first, so
-            # that both groups of a vertex chunk share its filters.
-            active = np.concatenate([active, np.flatnonzero(~vertices.any(axis=1))])
-            gather.append(slot_reads[:, batch:][self.slot_facets[:, active]])
-            order = np.concatenate([order, valid.size + np.argsort(active)])
+        every = np.arange(self.num_vertices)
+        active = [None if np.array_equal(active, every) else active]
+        if base:  # the base rows of every vertex, in mesh order
+            gather.append(slot_reads[:, batch:][self.slot_facets])
+            active.append(None)
+            order = np.concatenate([order, valid.size + every])
         elif valid.all():
             order = None
-        return facet_rows, RowSelection(
-            vertices, gather, base, full=dense and vertices.all(), order=order,
-            active=None if np.array_equal(active, np.arange(self.num_vertices))
-            else active)
+        return facet_rows, RowSelection(vertices, gather, base, order=order,
+                                        active=active, full=dense and vertices.all())
 
     def full_selection(self, batch):
         """:meth:`select` of every row at batch size ``batch``, which a
@@ -289,10 +282,10 @@ class RowSelection:
     facet corners for vertex2facet, (P, D) cluster members with -1 pads
     for a pool, (P,) parents for an unpool.  For facet2vertex it is a list
     of (D, A, W) groups, ring slot d of A vertices at W batch ids padded
-    to one width.  ``active`` lists the vertices whose basis rows the core
-    reads (None for all, in order), and each group's A vertices lead it.
-    ``order`` picks the output rows from the groups' padded rows laid end
-    to end (None if they are the output already).
+    to one width, and ``active`` lists each group's A vertex ids (None for
+    every vertex, in order).  ``order`` picks the output rows from the
+    groups' padded rows laid end to end (None if they are the output
+    already).
     """
 
     def __init__(self, mask, gather, base=False, *, full=False, order=None,
@@ -354,30 +347,6 @@ def _row_product(a, b):
     return np.matmul(a if a.shape[-2] > 1 else a.repeat(2, axis=-2), b)[..., :a.shape[-2], :]
 
 
-def _filters(basis, coeffs):
-    """Filter matrices F(theta, phi) at (V, K) basis rows, as (V, out, in)."""
-    out_ch, in_ch, k = coeffs.shape
-    flat = _row_product(basis, coeffs.reshape(out_ch * in_ch, k).T)
-    return flat.reshape(-1, out_ch, in_ch)
-
-
-def _vertex_chunks(count, out_ch, in_ch):
-    """Consecutive slices of ``count`` vertices, each short enough that one
-    (rows, out, in) filter or outer-product stack fits _F2V_CHUNK_BYTES."""
-    step = max(1, _F2V_CHUNK_BYTES // (8 * out_ch * in_ch))
-    return [slice(lo, lo + step) for lo in range(0, count, step)]
-
-
-def _aggregates_first(ctx, batch, out_ch):
-    """Whether facet2vertex at batch size ``batch`` (a selection's mask
-    width) and ``out_ch`` outputs sums over the ring before mixing channels
-    (:func:`_aggregates`) instead of building filters: per (vertex, batch)
-    row and input channel K·(D + out) multiply-adds against D·out·(1 + K/B),
-    twice each in the backward.  Filters win at large B and narrow outputs."""
-    slots, _, k = ctx.slot_basis.shape
-    return k * (slots + out_ch) * batch < slots * out_ch * (batch + k)
-
-
 def _aggregates(ctx, flat, gather, active):
     """Per vertex chunk of a (D, A, W) facet2vertex ``gather`` group, its
     slice and the (K, rows, W·in) sums a[k, a] = sum_d slot_basis[d, a, k]
@@ -399,80 +368,50 @@ def _aggregates(ctx, flat, gather, active):
 
 def f2v_forward_core(ctx, h, coeffs, *, rows=None):
     """Vertex features at the (vertex, batch) pairs of ``rows``, a
-    :class:`RowSelection` of the (V, B) table (every pair by default).
-    Where :func:`_aggregates_first` holds, one GEMM per filter term mixes
-    each group's ring sums (:func:`_aggregates`), added in term order; else
-    each active vertex's filters, built once per (chunk, slot) for every
-    group, apply to its facet rows (:func:`_vertex_chunks`), added in slot
-    order.  A row's bits do not depend on the other rows."""
+    :class:`RowSelection` of the (V, B) table (every pair by default): per
+    vertex chunk of each group, one GEMM per filter term mixes its ring sums
+    (:func:`_aggregates`), added in term order.  A row's bits do not depend
+    on the other rows."""
     rows = rows or ctx.full_selection(h.shape[0])[1]
     out_ch, in_ch, k = coeffs.shape
     flat = _flat(h)
+    mix = np.ascontiguousarray(coeffs.transpose(2, 1, 0))  # (K, in, out)
     sizes = [gather[0].size for gather in rows.gather]
     picked = np.zeros((sum(sizes), out_ch))
-    accs = [acc.reshape(gather.shape[1:] + (-1,)) for acc, gather in  # (A, W, out)
-            zip(np.split(picked, np.cumsum(sizes)[:-1]), rows.gather)]
-    active = rows.active
-    if _aggregates_first(ctx, rows.mask.shape[1], out_ch):
-        mix = np.ascontiguousarray(coeffs.transpose(2, 1, 0))  # (K, in, out)
-        for acc, gather in zip(accs, rows.gather):
-            for part, agg in _aggregates(ctx, flat, gather, active):
-                chunk = acc[part].reshape(-1, out_ch)
-                for term in _row_product(agg.reshape(k, -1, in_ch), mix):
-                    chunk += term
-                del term  # and with it the chunk's (K, rows, out) products
-        return rows.result(picked)
-    count = ctx.num_vertices if active is None else len(active)
-    for part in _vertex_chunks(count, out_ch, in_ch):
-        basis = ctx.slot_basis[:, part if active is None else active[part]]
-        for d in range(len(basis)):
-            filters = _filters(basis[d], coeffs).transpose(0, 2, 1)
-            for acc, gather in zip(accs, rows.gather):
-                chunk = acc[part]  # the group's vertices lead the chunk's
-                chunk += np.matmul(flat.take(gather[d, part], axis=0),
-                                   filters[:len(chunk)])
-            del filters  # freed before the next slot's filters are built
+    for acc, gather, active in zip(np.split(picked, np.cumsum(sizes)[:-1]),
+                                   rows.gather, rows.active):
+        acc = acc.reshape(gather.shape[1:] + (-1,))  # (A, W, out)
+        for part, agg in _aggregates(ctx, flat, gather, active):
+            chunk = acc[part].reshape(-1, out_ch)
+            for term in _row_product(agg.reshape(k, -1, in_ch), mix):
+                chunk += term
+            del term  # and with it the chunk's (K, rows, out) products
     return rows.result(picked)
 
 
 def f2v_backward_core(ctx, coeffs, h, grad_out):
     """Gradients of :func:`f2v_forward_core` on the full selection, (input,
-    coeffs), by the forward's path: a chunk's aggregate, made again, gives
-    the coefficient gradient dyᵀ a[k], then holds its own gradient dy C_k,
-    which the basis spreads over the ring slots; or the forward's chunks
-    and slot order.  One CSR product folds the (D, V, B, in) slot shares
-    into facet rows, corners 0, 1, 2 in order."""
+    coeffs), over its chunks: a chunk's aggregate, made again, gives the
+    coefficient gradient dyᵀ a[k], then holds its own gradient dy C_k, which
+    the basis spreads over the ring slots.  One CSR product folds the (D, V,
+    B, in) slot shares into facet rows, corners 0, 1, 2 in order."""
     out_ch, c_in, k = coeffs.shape
     batch = h.shape[0]
     flat = _flat(h)
     dv = np.ascontiguousarray(_rows(grad_out))  # (V, B, out)
     gathers, = ctx.full_selection(batch)[1].gather  # (D, V, B)
     dhe = np.empty(ctx.slot_basis.shape[:2] + (batch, c_in))  # (D, V, B, in)
-    if _aggregates_first(ctx, batch, out_ch):
-        mix = np.ascontiguousarray(coeffs.transpose(2, 0, 1))  # (K, out, in)
-        grad_coeffs = np.zeros((k, out_ch, c_in))
-        for part, agg in _aggregates(ctx, flat, gathers, None):
-            dy = dv[part].reshape(-1, out_ch)  # (rows·B, out)
-            grad_coeffs += np.matmul(dy.T, agg.reshape(k, -1, c_in))
-            np.matmul(dy, mix, out=agg.reshape(k, -1, c_in))  # the gradient, in place
-            np.matmul(ctx.slot_basis[:, part].transpose(1, 0, 2), agg.transpose(1, 0, 2),
-                      out=dhe[:, part].reshape(len(dhe), -1, batch * c_in).transpose(1, 0, 2))
-        del agg  # the chunk buffer, freed before the fold
-        grad_coeffs = grad_coeffs.reshape(k, -1).T  # (out * in, K)
-    else:
-        grad_coeffs = 0.0  # (out * in, K)
-        for part in _vertex_chunks(len(dv), out_ch, c_in):
-            dvp = dv[part]
-            for d, (basis, gather) in enumerate(zip(ctx.slot_basis[:, part],
-                                                    gathers[:, part])):
-                # The (rows, out, in) outer products and the gathered rows
-                # are temporaries, freed before the filters are built.
-                outer = np.matmul(dvp.transpose(0, 2, 1), flat.take(gather, axis=0))
-                grad_coeffs += outer.reshape(-1, out_ch * c_in).T @ basis
-                del outer
-                np.matmul(dvp, _filters(basis, coeffs), out=dhe[d, part])
+    mix = np.ascontiguousarray(coeffs.transpose(2, 0, 1))  # (K, out, in)
+    grad_coeffs = np.zeros((k, out_ch, c_in))
+    for part, agg in _aggregates(ctx, flat, gathers, None):
+        dy = dv[part].reshape(-1, out_ch)  # (rows·B, out)
+        grad_coeffs += np.matmul(dy.T, agg.reshape(k, -1, c_in))
+        np.matmul(dy, mix, out=agg.reshape(k, -1, c_in))  # the gradient, in place
+        np.matmul(ctx.slot_basis[:, part].transpose(1, 0, 2), agg.transpose(1, 0, 2),
+                  out=dhe[:, part].reshape(len(dhe), -1, batch * c_in).transpose(1, 0, 2))
+    del agg  # the chunk buffer, freed before the fold
     grad_h = _summed(ctx.facet_slots, dhe.reshape(-1, batch, c_in))  # corners 0, 1, 2
-    return _cols(grad_h), grad_coeffs.reshape(out_ch, c_in, k)
+    return _cols(grad_h), grad_coeffs.transpose(1, 2, 0)
 
 
 def leaky_relu(x, slope=LEAKY_SLOPE):

@@ -12,6 +12,7 @@ below the significance level), sorted by eta squared.
 from dataclasses import dataclass
 import csv
 import math
+from xml.sax.saxutils import escape
 
 import numpy as np
 import scipy.special
@@ -222,7 +223,7 @@ def write_eta2_svg(report, path, width=640, bar_height=18):
     for row in rows:
         frac = 0.0 if not math.isfinite(row.eta2) else max(0.0, min(1.0, row.eta2))
         bar = frac * span
-        label = f"{row.hemisphere} {row.channel} {row.roi_name}"
+        label = escape(f"{row.hemisphere} {row.channel} {row.roi_name}")
         parts.append(f'<text x="{pad}" y="{y + bar_height - 5}">{label}</text>')
         parts.append(
             f'<rect x="{label_w}" y="{y}" width="{bar:.1f}" '

@@ -434,20 +434,6 @@ def test_a_read_outside_a_decoder_demand_is_a_domain_error(monkeypatch, block):
         anomaly.detect_all(model, subjects[0], atlas, tables=tables)
 
 
-def test_encoder_builds_each_filter_stack_once(monkeypatch):
-    # Order 3, two levels: 8 blocks of 6 ring slots, one vertex chunk each.
-    # The encoder's base rows and ROI rows share one facet2vertex call, so
-    # each (block, slot) builds its filters once: 48 calls, not 72.
-    model, atlas, subjects = _order3_case()
-    tables = anomaly.roi_tables(model, atlas, atlas.roi_ids())
-    real = conv._filters
-    calls = []
-    monkeypatch.setattr(conv, "_filters",
-                        lambda basis, coeffs: calls.append(1) or real(basis, coeffs))
-    anomaly.detect_all(model, subjects[0], atlas, tables=tables)
-    assert len(calls) == 48
-
-
 def test_detection_never_holds_a_full_roi_table():
     # Order 4, 34 ROIs, 16 channels: one (F, R, C) facet table is 21 MiB.
     # Detection keeps only the rows it computes, so scoring one subject of

@@ -546,60 +546,99 @@ def test_forward_cores_compute_only_selected_rows(batch, surface, request):
 
 
 @pytest.mark.parametrize("surface", ["icosphere", "hull"])
+@pytest.mark.parametrize("batch", [1, 3, 20])
+def test_f2v_matches_brute_force_at_every_batch_size(batch, surface, request,
+                                                     monkeypatch):
+    # Each batch column of facet2vertex, on the full selection and on the
+    # selected entries of a partial one, is the brute-force filtered mean
+    # of its incident facets: in one chunk and in 7-vertex chunks.
+    m = request.getfixturevalue(surface) if surface == "hull" else mesh.icosphere(1)
+    rng = np.random.default_rng(21)
+    in_ch, out_ch = 4, 3
+    bank = spharm.FilterBank.random(3, in_ch, out_ch, rng)
+    ctx = conv.conv_context(m, bank.l_max)
+    h = rng.standard_normal((batch, in_ch, m.num_facets))
+    slow = np.stack([brute_facet2vertex(m, column, bank) for column in h])
+    mask = rng.random((m.num_vertices, batch)) < 0.3
+    mask[0], mask[1] = False, True
+    _, partial = ctx.select(np.ones((m.num_facets, batch), bool), mask)
+    sel = mask.T[:, None, :].repeat(out_ch, axis=1)
+    for chunk_rows in (None, 7):
+        with monkeypatch.context() as patch:
+            if chunk_rows:
+                patch.setattr(conv, "_F2V_AGGREGATE_BYTES",
+                              8 * bank.coeffs.shape[2] * batch * in_ch * chunk_rows)
+            fast = conv.f2v_forward_core(ctx, h, bank.coeffs)
+            picked = _spread(partial, conv.f2v_forward_core(ctx, h, bank.coeffs,
+                                                            rows=partial), None)
+        assert np.abs(fast - slow).max() < 1e-12
+        assert np.abs(picked[sel] - slow[sel]).max() < 1e-12
+
+
+@pytest.mark.parametrize("surface", ["icosphere", "hull"])
 @pytest.mark.parametrize("chunk_rows", [1, 7, 25])
 def test_f2v_vertex_chunks_match_one_chunk(chunk_rows, surface, request,
                                            monkeypatch):
     # Chunking the vertices changes no forward output or input gradient
     # bit, full or partial selection; the coefficient gradient sums the
     # chunks' partial sums, so it agrees to rounding.  Budgets of 1, 7 and
-    # 25 filter rows give 1-vertex chunks and ragged last chunks.
+    # 25 full-width aggregate rows give 1-vertex chunks and ragged last
+    # chunks.  At B = 1 a 1-vertex chunk mixes one (vertex, batch) row,
+    # which numpy's one-row product would round otherwise; with one output
+    # channel the backward's one-row products are exact, so this case
+    # tests the forward's one-row guard.
     m = request.getfixturevalue(surface) if surface == "hull" else mesh.icosphere(2)
     ctx = conv.conv_context(m, 3)
     rng = np.random.default_rng(13)
-    batch, out_ch, in_ch = 3, 2, 3
-    c = rng.standard_normal((out_ch, in_ch, spharm.num_coefficients(3)))
-    h = rng.standard_normal((batch, in_ch, ctx.num_facets))
-    z = rng.standard_normal((batch, out_ch, ctx.num_vertices))
-    mask = rng.random((ctx.num_vertices, batch)) < 0.3
-    mask[0], mask[1] = False, True
-    _, partial = ctx.select(np.ones((ctx.num_facets, batch), bool), mask)
+    k = spharm.num_coefficients(3)
+    for batch, out_ch, in_ch in [(3, 2, 3), (1, 1, 4)]:
+        c = rng.standard_normal((out_ch, in_ch, k))
+        h = rng.standard_normal((batch, in_ch, ctx.num_facets))
+        z = rng.standard_normal((batch, out_ch, ctx.num_vertices))
+        mask = rng.random((ctx.num_vertices, batch)) < 0.3
+        mask[0], mask[1] = False, True
+        _, partial = ctx.select(np.ones((ctx.num_facets, batch), bool), mask)
+        gather, = ctx.full_selection(batch)[1].gather
 
-    def calls():
-        return (conv.f2v_forward_core(ctx, h, c),
-                conv.f2v_forward_core(ctx, h, c, rows=partial),
-                *conv.f2v_backward_core(ctx, c, h, z))
+        def calls():
+            return (conv.f2v_forward_core(ctx, h, c),
+                    conv.f2v_forward_core(ctx, h, c, rows=partial),
+                    *conv.f2v_backward_core(ctx, c, h, z))
 
-    one_chunk = calls()
-    assert len(conv._vertex_chunks(ctx.num_vertices, out_ch, in_ch)) == 1
-    monkeypatch.setattr(conv, "_F2V_CHUNK_BYTES", 8 * out_ch * in_ch * chunk_rows)
-    parts = conv._vertex_chunks(ctx.num_vertices, out_ch, in_ch)
-    sizes = [len(range(ctx.num_vertices)[part]) for part in parts]
-    assert max(sizes) == chunk_rows and sum(sizes) == ctx.num_vertices
-    assert sizes[-1] < chunk_rows or chunk_rows == 1
-    chunked = calls()
-    for a, b in zip(one_chunk[:3], chunked[:3]):
-        np.testing.assert_array_equal(a, b)
-    np.testing.assert_allclose(chunked[3], one_chunk[3],
-                               rtol=0, atol=1e-13 * np.abs(one_chunk[3]).max())
-    fwd, grad_h, grad_c = chunked[0], chunked[2], chunked[3]
-    assert np.sum(fwd * z) == pytest.approx(np.sum(h * grad_h), rel=1e-12)
-    assert np.sum(fwd * z) == pytest.approx(np.sum(c * grad_c), rel=1e-12)
+        def chunk_sizes():
+            return [part.stop - part.start for part, _ in
+                    conv._aggregates(ctx, conv._flat(h), gather, None)]
+
+        assert chunk_sizes() == [ctx.num_vertices]
+        one_chunk = calls()
+        with monkeypatch.context() as patch:
+            patch.setattr(conv, "_F2V_AGGREGATE_BYTES", 8 * k * batch * in_ch * chunk_rows)
+            sizes = chunk_sizes()
+            assert max(sizes) == chunk_rows and sum(sizes) == ctx.num_vertices
+            assert sizes[-1] < chunk_rows or chunk_rows == 1
+            chunked = calls()
+        for a, b in zip(one_chunk[:3], chunked[:3]):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_allclose(chunked[3], one_chunk[3],
+                                   rtol=0, atol=1e-13 * np.abs(one_chunk[3]).max())
+        fwd, grad_h, grad_c = chunked[0], chunked[2], chunked[3]
+        assert np.sum(fwd * z) == pytest.approx(np.sum(h * grad_h), rel=1e-12)
+        assert np.sum(fwd * z) == pytest.approx(np.sum(c * grad_c), rel=1e-12)
 
 
 @pytest.mark.parametrize("surface", ["icosphere", "hull"])
 def test_backward_folds_sum_in_their_documented_order(surface, request):
     # Each backward neighbourhood sum equals, to the bit, a loop that adds
     # its rows in the documented order: a vertex's corners in ascending id
-    # (vertex2facet), a facet's corners j = 0, 1, 2 (facet2vertex) and a
-    # cluster's members in ascending id (unpool).  The rows summed are made
-    # by the same array expressions the cores use.
+    # (vertex2facet) and a cluster's members in ascending id (unpool).  The
+    # rows summed are made by the same array expressions the cores use.
+    # facet2vertex's fold has its own test below.
     m = request.getfixturevalue(surface) if surface == "hull" else mesh.icosphere(2)
     ctx = conv.conv_context(m, 3)
     rng = np.random.default_rng(15)
     batch, out_ch, in_ch = 3, 2, 4
     v, f = ctx.num_vertices, ctx.num_facets
     c = rng.standard_normal((out_ch, in_ch, spharm.num_coefficients(3)))
-    corner_vertex = m.facets.reshape(-1)
 
     x = rng.standard_normal((batch, in_ch, v))
     y = rng.standard_normal((batch, out_ch, f))
@@ -608,22 +647,9 @@ def test_backward_folds_sum_in_their_documented_order(surface, request):
     shares = np.stack([(dy @ fj[j]).reshape(f, batch, in_ch) for j in range(3)], 1)
     expected = np.zeros((v, batch, in_ch))
     for corner, share in enumerate(shares.reshape(3 * f, batch, in_ch)):
-        expected[corner_vertex[corner]] += share
+        expected[m.facets.flat[corner]] += share
     grad_x, _ = conv.v2f_backward_core(ctx, c, x, y)
     np.testing.assert_array_equal(np.moveaxis(grad_x, -1, 0), expected)
-
-    h = rng.standard_normal((batch, in_ch, f))
-    z = rng.standard_normal((batch, out_ch, v))
-    assert len(conv._vertex_chunks(v, out_ch, in_ch)) == 1
-    dv = np.moveaxis(z, -1, 0)
-    slot_share = [np.matmul(dv, conv._filters(basis, c)) for basis in ctx.slot_basis]
-    expected = np.zeros((f, batch, in_ch))
-    for corner in range(3 * f):
-        vertex = corner_vertex[corner]
-        slot = np.flatnonzero(m.one_ring[vertex] == corner)[0]
-        expected[corner // 3] += slot_share[slot][vertex]
-    grad_h, _ = conv.f2v_backward_core(ctx, c, h, z)
-    np.testing.assert_array_equal(np.moveaxis(grad_h, -1, 0), expected)
 
     if surface == "hull":  # uneven clusters, each owning its own vertex
         coarse = v // 4
@@ -640,7 +666,7 @@ def test_backward_folds_sum_in_their_documented_order(surface, request):
 
 
 def test_f2v_backward_peak_is_its_fold_buffer_and_one_gradient():
-    # Past the slot loop, the backward holds its (D, V, B, in) fold buffer
+    # Past the chunk loop, the backward holds its (D, V, B, in) fold buffer
     # and the (F, B, in) input gradient it folds into, and no second
     # gradient-sized temporary.  At 4 channels the chunk temporaries are
     # small beside these.
@@ -663,90 +689,16 @@ def test_f2v_backward_peak_is_its_fold_buffer_and_one_gradient():
     assert peak < fold_buffer + 1.5 * gradient
 
 
-def test_f2v_calls_never_hold_a_full_mesh_filter():
-    # At order 4 and 32x32 channels one (V, out, in) filter stack is 20 MiB;
-    # the cores build their filters in vertex chunks of at most 8 MiB, so
-    # no call peaks at the size of a full-mesh stack.
-    m = mesh.icosphere(4)
-    ctx = conv.conv_context(m, 3)
-    rng = np.random.default_rng(14)
-    c = rng.standard_normal((32, 32, spharm.num_coefficients(3)))
-    h = rng.standard_normal((1, 32, ctx.num_facets))
-    z = rng.standard_normal((1, 32, ctx.num_vertices))
-    full_filter = ctx.num_vertices * c[..., 0].nbytes
-    assert full_filter > 20 * 2**20
-    for call in (lambda: conv.f2v_forward_core(ctx, h, c),
-                 lambda: conv.f2v_backward_core(ctx, c, h, z)):
-        call()  # builds the cached full selection outside the trace
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < full_filter
-
-
-def test_f2v_path_rule_picks_by_multiply_adds():
-    # Per (vertex, batch) row and input channel, aggregating first costs
-    # K·(D + out) multiply-adds and filters D·out·(1 + K/B).  At the
-    # icosphere's D = 6 and K = 16, the order-6 benchmark's B <= 2 calls at
-    # 16 and 32 channels aggregate; B = 20 training, 34-ROI detection and
-    # every 1x1 call build filters.
-    ctx = conv.conv_context(mesh.icosphere(2), 3)
-    assert ctx.slot_basis.shape[::2] == (6, 16)
-    for batch in (1, 2):
-        for width in (16, 32):
-            assert conv._aggregates_first(ctx, batch, width)
-    for batch, width in [(20, 16), (20, 32), (34, 16), (34, 32), (1, 1), (2, 1), (20, 1)]:
-        assert not conv._aggregates_first(ctx, batch, width)
-
-
-def _f2v_calls(ctx, c, h, z, partial):
-    return (conv.f2v_forward_core(ctx, h, c),
-            conv.f2v_forward_core(ctx, h, c, rows=partial),
-            *conv.f2v_backward_core(ctx, c, h, z))
-
-
-@pytest.mark.parametrize("surface", ["icosphere", "hull"])
-@pytest.mark.parametrize("batch", [1, 2, 3, 7])
-def test_f2v_paths_agree(batch, surface, request, monkeypatch):
-    # Aggregating first and building filters reassociate the same sums:
-    # forward outputs (full and partial selections) and the input and
-    # coefficient gradients agree within 1e-14 of their largest entry, at
-    # widths in < out, in > out, 1x1 and 16x16.  Aggregate chunks of 3
-    # vertices (ragged at the end) change no forward bit, full or partial.
-    m = request.getfixturevalue(surface) if surface == "hull" else mesh.icosphere(2)
-    ctx = conv.conv_context(m, 3)
-    rng = np.random.default_rng(17)
-    mask = rng.random((ctx.num_vertices, batch)) < 0.3
-    mask[0], mask[1] = False, True
-    _, partial = ctx.select(np.ones((ctx.num_facets, batch), bool), mask)
-    for in_ch, out_ch in [(3, 5), (6, 2), (1, 1), (16, 16)]:
-        c = rng.standard_normal((out_ch, in_ch, spharm.num_coefficients(3)))
-        h = rng.standard_normal((batch, in_ch, ctx.num_facets))
-        z = rng.standard_normal((batch, out_ch, ctx.num_vertices))
-        runs = {}
-        for aggregate, chunk_bytes in [(False, None), (True, None), (True, 3)]:
-            with monkeypatch.context() as patch:
-                patch.setattr(conv, "_aggregates_first", lambda *args: aggregate)
-                if chunk_bytes:
-                    patch.setattr(conv, "_F2V_AGGREGATE_BYTES",
-                                  8 * 16 * batch * in_ch * chunk_bytes)
-                runs[aggregate, chunk_bytes] = _f2v_calls(ctx, c, h, z, partial)
-        for filtered, aggregated in zip(runs[False, None], runs[True, None]):
-            np.testing.assert_allclose(aggregated, filtered, rtol=0,
-                                       atol=1e-14 * np.abs(filtered).max())
-        for one, chunked in zip(runs[True, None][:2], runs[True, 3][:2]):
-            np.testing.assert_array_equal(one, chunked)
-
-
-@pytest.mark.parametrize("aggregate", [True, False])
-def test_f2v_paths_pass_the_fd_and_adjoint_oracles(aggregate, hull, monkeypatch):
-    monkeypatch.setattr(conv, "_aggregates_first", lambda *args: aggregate)
+@pytest.mark.parametrize("chunked", [True, False])
+def test_f2v_paths_pass_the_fd_and_adjoint_oracles(chunked, hull, monkeypatch):
+    # At B = 2 on the irregular hull, in one aggregate chunk and in 7-vertex
+    # chunks: the backward is the forward's adjoint in both arguments, and
+    # central differences match both gradients.
     ctx = conv.conv_context(hull, 2)
     rng = np.random.default_rng(19)
     c = rng.standard_normal((2, 3, 9))
+    if chunked:
+        monkeypatch.setattr(conv, "_F2V_AGGREGATE_BYTES", 8 * 9 * 2 * 3 * 7)
     h = rng.standard_normal((2, 3, hull.num_facets))
     z = rng.standard_normal((2, 2, hull.num_vertices))
     bh = conv.f2v_forward_core(ctx, h, c)
@@ -763,15 +715,14 @@ def test_f2v_paths_pass_the_fd_and_adjoint_oracles(aggregate, hull, monkeypatch)
 
 @pytest.mark.parametrize("surface", ["icosphere", "hull"])
 def test_aggregate_backward_folds_sum_in_their_documented_order(surface, request):
-    # Aggregating first, a vertex's slot shares are its basis rows times
-    # the aggregate's gradient dy C_k; the input gradient adds them, to the
-    # bit, over a facet's corners j = 0, 1, 2.
+    # A vertex's slot shares are its basis rows times the aggregate's
+    # gradient dy C_k; the input gradient adds them, to the bit, over a
+    # facet's corners j = 0, 1, 2.
     m = request.getfixturevalue(surface) if surface == "hull" else mesh.icosphere(2)
     ctx = conv.conv_context(m, 3)
     rng = np.random.default_rng(18)
     batch, ch, k = 2, 16, spharm.num_coefficients(3)
     v, f = ctx.num_vertices, ctx.num_facets
-    assert conv._aggregates_first(ctx, batch, ch)
     c = rng.standard_normal((ch, ch, k))
     h = rng.standard_normal((batch, ch, f))
     z = rng.standard_normal((batch, ch, v))
@@ -787,22 +738,14 @@ def test_aggregate_backward_folds_sum_in_their_documented_order(surface, request
     np.testing.assert_array_equal(np.moveaxis(grad_h, -1, 0).reshape(f, -1), expected)
 
 
-def test_f2v_aggregate_peaks_hold_no_full_aggregate():
-    # Aggregating first at order 4, B = 2 and 16 channels, the backward
-    # peaks below its (D, V, B, in) fold buffer plus 1.5 (F, B, in)
-    # gradients, and neither call holds the (K, V, B, in) aggregate of the
-    # whole mesh (10 MiB): each works on one chunk buffer of 1 MiB.
-    m = mesh.icosphere(4)
-    ctx = conv.conv_context(m, 3)
-    rng = np.random.default_rng(20)
-    batch, ch, k = 2, 16, spharm.num_coefficients(3)
-    assert conv._aggregates_first(ctx, batch, ch)
+def _f2v_peaks(ctx, batch, ch, rng):
+    # Traced peaks of one forward and one backward call at (B, ch, ch),
+    # with the (K, V, B, in) whole-mesh aggregate, the (D, V, B, in) fold
+    # buffer and the (F, B, in) gradient they are held to.
+    k = ctx.slot_basis.shape[2]
     c = rng.standard_normal((ch, ch, k))
     h = np.moveaxis(rng.standard_normal((ctx.num_facets, batch, ch)), 0, -1)
     z = np.moveaxis(rng.standard_normal((ctx.num_vertices, batch, ch)), 0, -1)
-    fold_buffer = ctx.slot_basis.shape[0] * ctx.num_vertices * batch * ch * 8
-    gradient = ctx.num_facets * batch * ch * 8
-    aggregate = k * ctx.num_vertices * batch * ch * 8
     peaks = []
     for call in (lambda: conv.f2v_forward_core(ctx, h, c),
                  lambda: conv.f2v_backward_core(ctx, c, h, z)):
@@ -813,8 +756,36 @@ def test_f2v_aggregate_peaks_hold_no_full_aggregate():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[0] < aggregate / 2
-    assert peaks[1] < fold_buffer + 1.5 * gradient < fold_buffer + aggregate
+    aggregate = k * ctx.num_vertices * batch * ch * 8
+    fold_buffer = ctx.slot_basis.shape[0] * ctx.num_vertices * batch * ch * 8
+    gradient = ctx.num_facets * batch * ch * 8
+    return peaks, aggregate, fold_buffer + 1.5 * gradient
+
+
+def test_f2v_calls_never_hold_a_full_mesh_filter():
+    # At order 4 and 32x32 channels, B = 1, one (V, out, in) filter stack
+    # is 20 MiB and the (K, V, B, in) whole-mesh aggregate 10 MiB; the
+    # cores aggregate in vertex chunks of 1 MiB, so no call holds either.
+    ctx = conv.conv_context(mesh.icosphere(4), 3)
+    (forward, backward), aggregate, bound = _f2v_peaks(
+        ctx, 1, 32, np.random.default_rng(14))
+    full_filter = ctx.num_vertices * 32 * 32 * 8
+    assert full_filter > 20 * 2**20 and aggregate > 10 * 2**20
+    assert forward < aggregate / 2
+    assert backward < bound < aggregate < full_filter
+
+
+def test_f2v_aggregate_peaks_hold_no_full_aggregate():
+    # At order 4, B = 2 with 16 channels, the backward peaks below its
+    # (D, V, B, in) fold buffer plus 1.5 (F, B, in) gradients, and neither
+    # call holds the (K, V, B, in) aggregate of the whole mesh (10 MiB):
+    # each works on one chunk buffer of 1 MiB.
+    ctx = conv.conv_context(mesh.icosphere(4), 3)
+    (forward, backward), aggregate, bound = _f2v_peaks(
+        ctx, 2, 16, np.random.default_rng(20))
+    assert aggregate > 10 * 2**20
+    assert forward < aggregate / 2
+    assert backward < bound < aggregate
 
 
 @pytest.mark.parametrize("order, above_1e12, above_1e6",

@@ -1,4 +1,5 @@
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -260,6 +261,25 @@ def test_effect_report_detects_shifted_roi():
     assert report.significant[0].eta2 == max(r.eta2 for r in report.significant)
     etas = [r.eta2 for r in report.significant]
     assert etas == sorted(etas, reverse=True)
+
+
+def test_eta2_svg_escapes_roi_and_channel_names(tmp_path):
+    # Label-table ROI names and manifest channel names are free text; the
+    # chart must stay well-formed XML and show them as written.
+    rng = np.random.default_rng(9)
+    a = rng.normal(1.0, 0.05, size=(20, 3, 1))
+    b = rng.normal(1.0, 0.05, size=(20, 3, 1))
+    b[:, 1, 0] += 1.0
+    ma, mb = _matrix(a), _matrix(b)
+    for m in (ma, mb):
+        m.roi_names[2] = "Banks of STS & <insula>"
+        m.channel_names = ("thick<ness>",)
+    report = stats.effect_report(ma, mb)
+    assert [r.roi_id for r in report.significant] == [2]
+    stats.write_eta2_svg(report, tmp_path / "eta2.svg")
+    texts = [t.text for t in ET.parse(tmp_path / "eta2.svg").getroot()
+             if t.tag.endswith("text")]
+    assert "left thick<ness> Banks of STS & <insula>" in texts
 
 
 def test_effect_report_q_equal_to_alpha_neither_rejected_nor_significant(monkeypatch):
