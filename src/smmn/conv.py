@@ -32,20 +32,20 @@ cost no copy.
 A forward core computes the (row, batch) entries of a :class:`RowSelection`,
 reading its input rows through the selection's flat gather indices:
 vertex2facet as three GEMMs on the facets' corner rows, facet2vertex as each
-active vertex's filtered ring sum of its facet rows, a pool as the max of
+entry's filtered ring sum of its vertex's facet rows, a pool as the max of
 its members' rows, an unpool as its parent's row.  A dense call is the
 identity case: the context's cached full selection reads row n * B + b of
 the (N, B, C) table and writes that table.  ROI-masked detection
 (:mod:`smmn.anomaly`) runs partial selections on compact tables: a core
 takes and gives the (C, P) rows of the selected entries only, followed, in
 the encoder, by one base row per table row, which every unselected entry
-reads.  facet2vertex, forward and backward, sums each filter term over the
-ring first and mixes channels after, the patch-operator form of MoNet (Monti
-et al., 2017), over vertex chunks of a fixed byte budget, not the mesh.  A
-slot past a vertex's degree reads its first facet under a zero basis.  The
-dense pool's -1 pads read an appended -inf row.  Every backward
-neighbourhood sum (a vertex's corners, a facet's ring slots, a cluster's
-members) is one cached sparse 0/1 matrix product.
+reads, and computes no other row.  facet2vertex, forward and backward, sums
+each filter term over the ring first and mixes channels after, the
+patch-operator form of MoNet (Monti et al., 2017), over vertex chunks of a
+fixed byte budget, not the mesh.  A slot past a vertex's degree reads its
+first facet under a zero basis.  The dense pool's -1 pads read an appended
+-inf row.  Every backward neighbourhood sum (a vertex's corners, a facet's
+ring slots, a cluster's members) is one cached sparse 0/1 matrix product.
 """
 
 from dataclasses import dataclass
@@ -168,7 +168,8 @@ class ConvContext:
         gives the flat input row of each entry (the
         :meth:`RowSelection.positions` of the step before), and facet2vertex
         then reads the facet selection's output; by default both read the
-        dense layout n * B + b.
+        dense layout n * B + b.  facet2vertex's gather holds one row per
+        entry, unless it takes every entry and no base rows.
         """
         batch = facets.shape[1]
         dense = reads is None
@@ -179,26 +180,13 @@ class ConvContext:
                                   full=dense and facets.all())
         slot_reads = (np.arange(self.num_facets * batch).reshape(-1, batch)
                       if dense else facet_rows.positions())
-        # Ring slot d of each active vertex at its selected batch ids, padded
-        # to one width; a pad repeats the vertex's first id.
-        counts = vertices.sum(axis=1)
-        active = np.flatnonzero(counts)
-        valid = np.arange(counts.max(initial=0)) < counts[active, None]
-        ids = np.zeros(valid.shape, dtype=np.int64)
-        ids[valid] = np.nonzero(vertices)[1]
-        ids = np.where(valid, ids, ids[:, :1])
-        gather = [slot_reads[self.slot_facets[:, active, None], ids]]
-        order = np.flatnonzero(valid)
-        every = np.arange(self.num_vertices)
-        active = [None if np.array_equal(active, every) else active]
-        if base:  # the base rows of every vertex, in mesh order
-            gather.append(slot_reads[:, batch:][self.slot_facets])
-            active.append(None)
-            order = np.concatenate([order, valid.size + every])
-        elif valid.all():
-            order = None
-        return facet_rows, RowSelection(vertices, gather, base, order=order,
-                                        active=active, full=dense and vertices.all())
+        if vertices.all() and not base:  # ring slot d of every vertex at every batch id
+            gather, active = slot_reads[self.slot_facets], None
+        else:  # one row per entry: ring slot d of its vertex at its batch id
+            v, b = entries(vertices, base)
+            gather, active = slot_reads[self.slot_facets[:, v], b][..., None], v
+        return facet_rows, RowSelection(vertices, gather, base, active=active,
+                                        full=dense and vertices.all())
 
     def full_selection(self, batch):
         """:meth:`select` of every row at batch size ``batch``, which a
@@ -280,18 +268,15 @@ class RowSelection:
 
     ``gather`` holds the flat input rows each output row reads: (3, P)
     facet corners for vertex2facet, (P, D) cluster members with -1 pads
-    for a pool, (P,) parents for an unpool.  For facet2vertex it is a list
-    of (D, A, W) groups, ring slot d of A vertices at W batch ids padded
-    to one width, and ``active`` lists each group's A vertex ids (None for
-    every vertex, in order).  ``order`` picks the output rows from the
-    groups' padded rows laid end to end (None if they are the output
-    already).
+    for a pool, (P,) parents for an unpool.  For facet2vertex it is (D, A,
+    W), ring slot d of vertex ``active[a]`` at W batch ids: (D, V, B) for
+    every vertex at every batch id (``active`` None), else (D, P, 1), one
+    row per entry.
     """
 
-    def __init__(self, mask, gather, base=False, *, full=False, order=None,
-                 active=None):
+    def __init__(self, mask, gather, base=False, *, full=False, active=None):
         self.mask, self.gather, self.base, self.full = mask, gather, base, full
-        self.order, self.active = order, active
+        self.active = active
 
     def positions(self):
         """The (N, B + base) flat row, in this selection's output, of each
@@ -308,8 +293,6 @@ class RowSelection:
     def result(self, picked):
         """A core's output from its computed rows: the (B, C, N) table for
         the full selection, else the (C, P) rows of :func:`entries`."""
-        if self.order is not None:
-            picked = picked.take(self.order, axis=0)
         return _cols(picked.reshape((self.mask.shape if self.full else (-1,))
                                     + picked.shape[-1:]))
 
@@ -340,16 +323,19 @@ def v2f_backward_core(ctx, coeffs, x, grad_out):
     return _cols(_summed(ctx.vertex_corners, contrib)), grad_coeffs
 
 
-def _row_product(a, b):
+def _row_product(a, b, out=None):
     """``a @ b`` for a stack of (rows, n) matrices, each row computed as it
     is among many: numpy runs a one-row product as a GEMV, which rounds
-    otherwise, so a single row is computed as two."""
-    return np.matmul(a if a.shape[-2] > 1 else a.repeat(2, axis=-2), b)[..., :a.shape[-2], :]
+    otherwise, so a single row is computed as two.  ``out``, if given,
+    takes the product, as in ``np.matmul``."""
+    if a.shape[-2] > 1:
+        return np.matmul(a, b, out=out)
+    return np.positive(np.matmul(a.repeat(2, axis=-2), b)[..., :1, :], out=out)
 
 
 def _aggregates(ctx, flat, gather, active):
-    """Per vertex chunk of a (D, A, W) facet2vertex ``gather`` group, its
-    slice and the (K, rows, W·in) sums a[k, a] = sum_d slot_basis[d, a, k]
+    """Per vertex chunk of a (D, A, W) facet2vertex ``gather``, its slice
+    and the (K, rows, W·in) sums a[k, a] = sum_d slot_basis[d, a, k]
     flat[gather[d, a]] (``active`` as in :class:`RowSelection`), in one
     reused buffer of at most _F2V_AGGREGATE_BYTES."""
     slots, count, width = gather.shape
@@ -369,24 +355,20 @@ def _aggregates(ctx, flat, gather, active):
 def f2v_forward_core(ctx, h, coeffs, *, rows=None):
     """Vertex features at the (vertex, batch) pairs of ``rows``, a
     :class:`RowSelection` of the (V, B) table (every pair by default): per
-    vertex chunk of each group, one GEMM per filter term mixes its ring sums
+    vertex chunk, one GEMM per filter term mixes its ring sums
     (:func:`_aggregates`), added in term order.  A row's bits do not depend
     on the other rows."""
     rows = rows or ctx.full_selection(h.shape[0])[1]
     out_ch, in_ch, k = coeffs.shape
     flat = _flat(h)
     mix = np.ascontiguousarray(coeffs.transpose(2, 1, 0))  # (K, in, out)
-    sizes = [gather[0].size for gather in rows.gather]
-    picked = np.zeros((sum(sizes), out_ch))
-    for acc, gather, active in zip(np.split(picked, np.cumsum(sizes)[:-1]),
-                                   rows.gather, rows.active):
-        acc = acc.reshape(gather.shape[1:] + (-1,))  # (A, W, out)
-        for part, agg in _aggregates(ctx, flat, gather, active):
-            chunk = acc[part].reshape(-1, out_ch)
-            for term in _row_product(agg.reshape(k, -1, in_ch), mix):
-                chunk += term
-            del term  # and with it the chunk's (K, rows, out) products
-    return rows.result(picked)
+    acc = np.zeros(rows.gather.shape[1:] + (out_ch,))  # (A, W, out)
+    for part, agg in _aggregates(ctx, flat, rows.gather, rows.active):
+        chunk = acc[part].reshape(-1, out_ch)
+        for term in _row_product(agg.reshape(k, -1, in_ch), mix):
+            chunk += term
+        del term  # and with it the chunk's (K, rows, out) products
+    return rows.result(acc)
 
 
 def f2v_backward_core(ctx, coeffs, h, grad_out):
@@ -399,14 +381,14 @@ def f2v_backward_core(ctx, coeffs, h, grad_out):
     batch = h.shape[0]
     flat = _flat(h)
     dv = np.ascontiguousarray(_rows(grad_out))  # (V, B, out)
-    gathers, = ctx.full_selection(batch)[1].gather  # (D, V, B)
+    gather = ctx.full_selection(batch)[1].gather  # (D, V, B)
     dhe = np.empty(ctx.slot_basis.shape[:2] + (batch, c_in))  # (D, V, B, in)
     mix = np.ascontiguousarray(coeffs.transpose(2, 0, 1))  # (K, out, in)
     grad_coeffs = np.zeros((k, out_ch, c_in))
-    for part, agg in _aggregates(ctx, flat, gathers, None):
+    for part, agg in _aggregates(ctx, flat, gather, None):
         dy = dv[part].reshape(-1, out_ch)  # (rows·B, out)
         grad_coeffs += np.matmul(dy.T, agg.reshape(k, -1, c_in))
-        np.matmul(dy, mix, out=agg.reshape(k, -1, c_in))  # the gradient, in place
+        _row_product(dy, mix, out=agg.reshape(k, -1, c_in))  # the gradient, in place
         np.matmul(ctx.slot_basis[:, part].transpose(1, 0, 2), agg.transpose(1, 0, 2),
                   out=dhe[:, part].reshape(len(dhe), -1, batch * c_in).transpose(1, 0, 2))
     del agg  # the chunk buffer, freed before the fold

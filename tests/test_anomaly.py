@@ -271,6 +271,19 @@ def test_support_tables_hold_every_changed_encoder_row(setup, order):
     assert tables.rows[encoder[0]][1].mask.mean() < 0.2
 
 
+def test_roi_tables_compute_no_pad_rows():
+    """On the order-3, 34-ROI atlas every facet2vertex selection gathers
+    one row per entry: its selected entries, then, in the encoder, one
+    base row per vertex."""
+    model, atlas, _ = _order3_case()
+    tables = anomaly.roi_tables(model, atlas, atlas.roi_ids())
+    blocks = [pair[1] for step, pair in tables.rows.items() if isinstance(step, str)]
+    assert len(blocks) == 8
+    assert sum(int(rows.mask.sum()) for rows in blocks) == 10531
+    assert sum(rows.gather.shape[1] * rows.gather.shape[2] for rows in blocks) == (
+        10531 + sum(len(rows.mask) for rows in blocks if rows.base))
+
+
 def test_non_finite_features_are_a_domain_error(setup):
     model, atlas, samples = setup
     bad = net.Sample(samples[0].features.copy(), samples[0].context, "nan_subject")

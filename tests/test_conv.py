@@ -584,21 +584,21 @@ def test_f2v_vertex_chunks_match_one_chunk(chunk_rows, surface, request,
     # chunks' partial sums, so it agrees to rounding.  Budgets of 1, 7 and
     # 25 full-width aggregate rows give 1-vertex chunks and ragged last
     # chunks.  At B = 1 a 1-vertex chunk mixes one (vertex, batch) row,
-    # which numpy's one-row product would round otherwise; with one output
-    # channel the backward's one-row products are exact, so this case
-    # tests the forward's one-row guard.
+    # which numpy's one-row product would round otherwise: with one output
+    # channel the backward's one-row products are exact, so that case tests
+    # the forward's one-row guard, and with three the backward's.
     m = request.getfixturevalue(surface) if surface == "hull" else mesh.icosphere(2)
     ctx = conv.conv_context(m, 3)
     rng = np.random.default_rng(13)
     k = spharm.num_coefficients(3)
-    for batch, out_ch, in_ch in [(3, 2, 3), (1, 1, 4)]:
+    for batch, out_ch, in_ch in [(3, 2, 3), (1, 1, 4), (1, 3, 4)]:
         c = rng.standard_normal((out_ch, in_ch, k))
         h = rng.standard_normal((batch, in_ch, ctx.num_facets))
         z = rng.standard_normal((batch, out_ch, ctx.num_vertices))
         mask = rng.random((ctx.num_vertices, batch)) < 0.3
         mask[0], mask[1] = False, True
         _, partial = ctx.select(np.ones((ctx.num_facets, batch), bool), mask)
-        gather, = ctx.full_selection(batch)[1].gather
+        gather = ctx.full_selection(batch)[1].gather
 
         def calls():
             return (conv.f2v_forward_core(ctx, h, c),
@@ -624,6 +624,51 @@ def test_f2v_vertex_chunks_match_one_chunk(chunk_rows, surface, request,
         fwd, grad_h, grad_c = chunked[0], chunked[2], chunked[3]
         assert np.sum(fwd * z) == pytest.approx(np.sum(h * grad_h), rel=1e-12)
         assert np.sum(fwd * z) == pytest.approx(np.sum(c * grad_c), rel=1e-12)
+
+
+@pytest.mark.parametrize("surface", ["icosphere", "hull"])
+@pytest.mark.parametrize("base", [False, True])
+def test_partial_f2v_selections_have_one_row_per_entry(base, surface, request):
+    # A partial facet2vertex selection gathers one row per entry of
+    # entries(), base rows included, and pads none; the full selection
+    # gathers every vertex at every batch id.
+    m = request.getfixturevalue(surface) if surface == "hull" else mesh.icosphere(2)
+    ctx = conv.conv_context(m, 3)
+    rng = np.random.default_rng(16)
+    batch, v = 4, ctx.num_vertices
+    reads = np.arange(v * (batch + base)).reshape(v, -1)
+    for density in (0.05, 0.3, 0.9):
+        mask = rng.random((v, batch)) < density
+        mask[0], mask[1] = False, True
+        _, rows = ctx.select(rng.random((ctx.num_facets, batch)) < density, mask,
+                             reads, base)
+        assert rows.gather.shape == (len(ctx.slot_facets), mask.sum() + base * v, 1)
+        np.testing.assert_array_equal(rows.active, conv.entries(mask, base)[0])
+    full = ctx.full_selection(batch)[1]
+    assert full.gather.shape == (len(ctx.slot_facets), v, batch)
+    assert full.active is None
+
+
+@pytest.mark.parametrize("surface", ["icosphere", "hull"])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_f2v_entry_bits_do_not_depend_on_the_other_entries(batch, surface,
+                                                           request):
+    # An entry of a partial selection M comes out to the bit as it does in
+    # a superset of M, and as in the full selection.
+    m = request.getfixturevalue(surface) if surface == "hull" else mesh.icosphere(2)
+    ctx = conv.conv_context(m, 3)
+    rng = np.random.default_rng(17)
+    c = rng.standard_normal((3, 4, spharm.num_coefficients(3)))
+    h = rng.standard_normal((batch, 4, ctx.num_facets))
+    facets = np.ones((ctx.num_facets, batch), bool)
+    mask = rng.random((ctx.num_vertices, batch)) < 0.1
+    mask[0], mask[1] = False, True
+    superset = mask | (rng.random(mask.shape) < 0.5)
+    picked = [_spread(rows, conv.f2v_forward_core(ctx, h, c, rows=rows), None)
+              for rows in (ctx.select(facets, sel)[1] for sel in (mask, superset))]
+    sel = mask.T[:, None, :].repeat(len(c), axis=1)
+    np.testing.assert_array_equal(picked[0][sel], picked[1][sel])
+    np.testing.assert_array_equal(picked[0][sel], conv.f2v_forward_core(ctx, h, c)[sel])
 
 
 @pytest.mark.parametrize("surface", ["icosphere", "hull"])
