@@ -16,9 +16,9 @@ The network runs the batched array cores (``*_core`` and the
 ``block_*`` pair); the FeatureMap operators are checked shims over them.
 Everything is linear in both features and filter coefficients (before
 the nonlinearity), so the backward passes are exact; a block's backward
-reads its input, its facet features and its pre-activation's sign.  All
-reductions run in a fixed order; identical inputs give bit-identical
-outputs.
+reads its input and its pre-activation's sign, and makes its facet
+features again.  All reductions run in a fixed order; identical inputs
+give bit-identical outputs.
 
 Each mesh caches a :class:`ConvContext` per filter degree holding its
 ring-slot tables, sampled filter basis and backward incidence matrices.
@@ -44,17 +44,21 @@ each filter term over the ring first and mixes channels after, the
 patch-operator form of MoNet (Monti et al., 2017), over vertex chunks of a
 fixed byte budget, not the mesh.  A slot past a vertex's degree reads its
 first facet under a zero basis.  The dense pool's -1 pads read an appended
--inf row.  Every backward neighbourhood sum (a vertex's corners, a facet's
-ring slots, a cluster's members) is one cached sparse 0/1 matrix product.
+-inf row.  The convolution backwards work in chunks too, vertex2facet's over
+facets: each chunk's shares are added into the input gradient in place, in
+the order of a cached sparse 0/1 matrix's columns (a vertex's corners in
+ascending id, a facet's corners in ascending vertex id), so no full-mesh
+share buffer is made.  A cluster's members are summed by one sparse product.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csc_array
+from scipy.sparse._sparsetools import csc_matvecs
 
-from .errors import ShapeError, UsageError
-from .mesh import group_matrix, incidence_angles
+from .errors import InvariantError, ShapeError, UsageError
+from .mesh import incidence_angles
 from .spharm import filter_basis
 
 LEAKY_SLOPE = 0.01
@@ -65,6 +69,14 @@ _V2F_ANGLES = ((np.pi / 2.0, 0.0), (np.pi / 2.0, np.pi / 2.0), (0.0, 0.0))
 # Bytes of one (K, rows, B·in) facet2vertex aggregate: a vertex chunk that
 # stays in L2 cache.
 _F2V_AGGREGATE_BYTES = 2**20
+
+# Bytes of one vertex2facet backward chunk buffer, (rows, 3, B·in) corner
+# shares.  A chunk is a multiple of _V2F_ROWS facets, so each chunk's GEMMs
+# but the last start at a multiple of 16 rows, where BLAS computes a row as
+# in the whole product (at 1, 16 and 32 input channels; at 2 or 4 with 16
+# or more output channels OpenBLAS rounds by the row count).
+_V2F_CHUNK_BYTES = 2**20
+_V2F_ROWS = 16
 
 
 @dataclass
@@ -128,10 +140,11 @@ class ConvContext:
     filter basis there over the vertex degree (slot sums are then
     facet2vertex's means), zero past the degree.  ``slot_facets`` holds
     the facet ids; a slot past the degree repeats the vertex's first
-    facet, a row the vertex reads anyway.  Row v of the 0/1 ``csr_array``
-    ``vertex_corners`` (V, 3F) lists vertex v's corners in ascending id,
-    row f of ``facet_slots`` (F, D·V) the flat slots of corners 3f, 3f + 1,
-    3f + 2 in that order.  :meth:`full_selection` caches dense selections.
+    facet, a row the vertex reads anyway.  The backward folds scatter by
+    two 0/1 ``csc_array`` matrices (:func:`_fold`): column c of
+    ``vertex_corners`` (V, 3F) holds corner c's vertex, column v·D + d of
+    ``facet_slots`` (F, V·D) the facet of vertex v's ring slot d, none
+    past the degree.  :meth:`full_selection` caches dense selections.
     """
 
     def __init__(self, mesh, l_max):
@@ -144,14 +157,12 @@ class ConvContext:
             [filter_basis(l_max, th, ph) for th, ph in _V2F_ANGLES]
         )  # (3, K)
 
-        slots = np.ascontiguousarray(mesh.one_ring.T)  # (D, V), -1 past the degree
+        ring = mesh.one_ring  # (V, D), -1 past the degree
+        slots = np.ascontiguousarray(ring.T)
         self.slot_facets = np.where(slots >= 0, slots, slots[0]) // 3
-        self.vertex_corners = group_matrix(mesh.facets.reshape(-1), self.num_vertices)
-        # Each corner's flat slot (pads sort first), unsorted: the fold's order.
-        at = np.argsort(slots, axis=None)[(slots < 0).sum():].astype(np.int32)
-        starts = np.arange(0, len(at) + 1, 3, dtype=np.int32)
-        self.facet_slots = csr_array((np.ones(len(at)), at, starts),
-                                     shape=(self.num_facets, slots.size))
+        self.vertex_corners = _scatter_matrix(mesh.facets.reshape(-1), self.num_vertices)
+        self.facet_slots = _scatter_matrix(np.where(ring >= 0, ring // 3, -1).reshape(-1),
+                                           self.num_facets)
 
         theta, phi = incidence_angles(mesh)
         # Weight 1/degree makes slot sums means; weight 0 clears the pads,
@@ -311,16 +322,59 @@ def v2f_forward_core(ctx, x, coeffs, *, rows=None):
 
 
 def v2f_backward_core(ctx, coeffs, x, grad_out):
+    """Gradients of :func:`v2f_forward_core` on the full selection, (input,
+    coeffs), over facet chunks: a chunk's corner shares dy F_j, made in one
+    reused buffer, are added to each vertex's rows in ascending corner id
+    (:func:`_fold`), and its corners' input rows, gathered side by side into
+    a (rows·B, 3·in) table, give the coefficient gradient in one GEMM."""
     fj = np.einsum("oik,jk->joi", coeffs, ctx.v2f_basis)
     batch, out_ch, num_f = grad_out.shape
     flat = _flat(x)
+    in_ch = flat.shape[1]
     dy = _flat(grad_out)  # (F·B, out)
-    contrib = np.empty((3 * num_f, batch, flat.shape[1]))  # row 3f + j: corner j's share
-    grad_coeffs = np.zeros_like(coeffs)
-    for j, gather in enumerate(ctx.full_selection(batch)[0].gather):
-        contrib[j::3] = (dy @ fj[j]).reshape(num_f, batch, -1)
-        grad_coeffs += (dy.T @ flat.take(gather, axis=0))[:, :, None] * ctx.v2f_basis[j]
-    return _cols(_summed(ctx.vertex_corners, contrib)), grad_coeffs
+    gather = ctx.full_selection(batch)[0].gather  # (3, F·B)
+    grad_x = np.zeros((ctx.num_vertices, batch, in_ch))
+    grad_fj = np.zeros((out_ch, 3 * in_ch))  # dyᵀ [x_0 x_1 x_2]
+    step = _V2F_ROWS * max(1, _V2F_CHUNK_BYTES // (_V2F_ROWS * 24 * batch * in_ch))
+    shares = np.empty((min(step, num_f), 3, batch * in_ch))  # row 3f + j: corner j's
+    corners = np.empty((min(step, num_f) * batch, 3, in_ch))
+    for lo in range(0, num_f, step):
+        count = min(step, num_f - lo)
+        part = slice(lo * batch, (lo + count) * batch)
+        dyc = dy[part]
+        for j in range(3):
+            shares[:count, j] = (dyc @ fj[j]).reshape(count, -1)
+        _fold(grad_x, ctx.vertex_corners, slice(3 * lo, 3 * (lo + count)), shares[:count])
+        picked = np.take(flat, gather[:, part].T, axis=0, out=corners[:len(dyc)],
+                         mode="clip")  # the gather's ids are in range
+        grad_fj += dyc.T @ picked.reshape(len(dyc), -1)
+    grad_coeffs = np.einsum("oji,jk->oik", grad_fj.reshape(out_ch, 3, in_ch), ctx.v2f_basis)
+    return _cols(grad_x), grad_coeffs
+
+
+def _scatter_matrix(keys, n):
+    """The (n, len(keys)) 0/1 int32-indexed ``csc_array`` whose column c
+    holds one 1, in row keys[c], or none if keys[c] < 0."""
+    keep = keys >= 0
+    indptr = np.zeros(len(keys) + 1, dtype=np.int32)
+    np.cumsum(keep, out=indptr[1:])
+    return csc_array((np.ones(indptr[-1]), keys[keep].astype(np.int32), indptr),
+                     shape=(n, len(keys)))
+
+
+def _fold(total, matrix, cols, rows):
+    """``total += matrix[:, cols] @ rows`` in place, for a slice ``cols`` of
+    a ``csc_array``, a C-contiguous (N, ...) ``total`` and one row of its
+    row size per column.  scipy's compiled CSC kernel adds each row into
+    its total row by ascending column, so a total row sums its columns in
+    ascending order wherever the columns are cut."""
+    width, count = total[0].size, cols.stop - cols.start
+    if rows.size != count * width or not total.flags.c_contiguous:
+        # The kernel trusts its sizes: a mismatch would write out of bounds.
+        raise InvariantError(f"cannot fold {rows.shape} rows of {count} columns "
+                             f"into a {total.shape} table")
+    csc_matvecs(len(total), count, width, matrix.indptr[cols.start:cols.stop + 1],
+                matrix.indices, matrix.data, rows.reshape(-1), total.reshape(-1))
 
 
 def _row_product(a, b, out=None):
@@ -333,6 +387,11 @@ def _row_product(a, b, out=None):
     return np.positive(np.matmul(a.repeat(2, axis=-2), b)[..., :1, :], out=out)
 
 
+def _f2v_step(ctx, width):
+    """Vertices per facet2vertex chunk of W·in = ``width`` columns."""
+    return max(1, _F2V_AGGREGATE_BYTES // (8 * ctx.slot_basis.shape[2] * width))
+
+
 def _aggregates(ctx, flat, gather, active):
     """Per vertex chunk of a (D, A, W) facet2vertex ``gather``, its slice
     and the (K, rows, W·in) sums a[k, a] = sum_d slot_basis[d, a, k]
@@ -340,7 +399,7 @@ def _aggregates(ctx, flat, gather, active):
     reused buffer of at most _F2V_AGGREGATE_BYTES."""
     slots, count, width = gather.shape
     k, width = ctx.slot_basis.shape[2], width * flat.shape[1]
-    step = max(1, _F2V_AGGREGATE_BYTES // (8 * k * width))
+    step = _f2v_step(ctx, width)
     buffer = np.empty((k, min(step, count), width))
     for lo in range(0, count, step):
         part = slice(lo, min(lo + step, count))
@@ -375,24 +434,28 @@ def f2v_backward_core(ctx, coeffs, h, grad_out):
     """Gradients of :func:`f2v_forward_core` on the full selection, (input,
     coeffs), over its chunks: a chunk's aggregate, made again, gives the
     coefficient gradient dyᵀ a[k], then holds its own gradient dy C_k, which
-    the basis spreads over the ring slots.  One CSR product folds the (D, V,
-    B, in) slot shares into facet rows, corners 0, 1, 2 in order."""
+    the basis spreads over the ring slots.  :func:`_fold` adds each slot's
+    share into its facet's rows, so a facet sums its corners' shares in
+    ascending vertex id, whatever the chunks."""
     out_ch, c_in, k = coeffs.shape
     batch = h.shape[0]
     flat = _flat(h)
     dv = np.ascontiguousarray(_rows(grad_out))  # (V, B, out)
     gather = ctx.full_selection(batch)[1].gather  # (D, V, B)
-    dhe = np.empty(ctx.slot_basis.shape[:2] + (batch, c_in))  # (D, V, B, in)
+    slots = len(gather)
+    grad_h = np.zeros((ctx.num_facets, batch, c_in))
+    shares = np.empty((min(_f2v_step(ctx, batch * c_in), ctx.num_vertices), slots,
+                       batch * c_in))  # (rows, D, B·in)
     mix = np.ascontiguousarray(coeffs.transpose(2, 0, 1))  # (K, out, in)
     grad_coeffs = np.zeros((k, out_ch, c_in))
     for part, agg in _aggregates(ctx, flat, gather, None):
         dy = dv[part].reshape(-1, out_ch)  # (rows·B, out)
         grad_coeffs += np.matmul(dy.T, agg.reshape(k, -1, c_in))
         _row_product(dy, mix, out=agg.reshape(k, -1, c_in))  # the gradient, in place
+        chunk = shares[:part.stop - part.start]
         np.matmul(ctx.slot_basis[:, part].transpose(1, 0, 2), agg.transpose(1, 0, 2),
-                  out=dhe[:, part].reshape(len(dhe), -1, batch * c_in).transpose(1, 0, 2))
-    del agg  # the chunk buffer, freed before the fold
-    grad_h = _summed(ctx.facet_slots, dhe.reshape(-1, batch, c_in))  # corners 0, 1, 2
+                  out=chunk)
+        _fold(grad_h, ctx.facet_slots, slice(slots * part.start, slots * part.stop), chunk)
     return _cols(grad_h), grad_coeffs.transpose(1, 2, 0)
 
 
@@ -406,9 +469,9 @@ def leaky_relu(x, slope=LEAKY_SLOPE):
 def block_forward(ctx, h, vf, fv, bias, activate, *, rows=None):
     """vertex2facet -> facet2vertex -> bias -> optional leaky ReLU.
 
-    Returns the output and what :func:`block_backward` needs, (h, g,
-    pre > 0), the sign None if linear, each in the layout of the cores'
-    outputs.  ``rows``, the (facet, vertex)
+    Returns the output and what :func:`block_backward` needs, (h, pre >
+    0), the sign None if linear, each in the layout of the cores' outputs;
+    the facet features are not kept.  ``rows``, the (facet, vertex)
     :class:`RowSelection` pair, defaults to the context's full selections.
     A partial pair (built with ``reads``, see :meth:`ConvContext.select`)
     takes the (C, P) rows of the step before and gives the (C, P) rows of
@@ -418,18 +481,23 @@ def block_forward(ctx, h, vf, fv, bias, activate, *, rows=None):
     facet_rows, vertex_rows = rows or ctx.full_selection(h.shape[0])
     g = v2f_forward_core(ctx, h, vf, rows=facet_rows)
     pre = f2v_forward_core(ctx, g, fv, rows=vertex_rows)
+    del g  # before the bias, activation and sign make their buffers
     pre += bias[:, None]
     out = leaky_relu(pre) if activate else pre
-    return out, (h, g, pre > 0.0 if activate else None)
+    return out, (h, pre > 0.0 if activate else None)
 
 
 def block_backward(ctx, saved, vf, fv, grad_out):
-    """Gradients of :func:`block_forward`: (input, vf, fv, bias)."""
-    h, g, positive = saved
+    """Gradients of :func:`block_forward`: (input, vf, fv, bias).  The
+    facet features are made again from the saved input, the forward's
+    call, so they have its bits, and freed before the vertex2facet
+    backward (gradient checkpointing, Chen et al., 2016)."""
+    h, positive = saved
     if positive is not None:
         grad_out = grad_out * np.where(positive, 1.0, LEAKY_SLOPE)
     grad_bias = grad_out.sum(axis=(0, 2))
-    grad_g, grad_fv = f2v_backward_core(ctx, fv, g, grad_out)
+    grad_g, grad_fv = f2v_backward_core(ctx, fv, v2f_forward_core(ctx, h, vf), grad_out)
+    del grad_out  # the masked copy, freed before the vertex2facet backward
     grad_h, grad_vf = v2f_backward_core(ctx, vf, h, grad_g)
     return grad_h, grad_vf, grad_fv, grad_bias
 

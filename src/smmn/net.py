@@ -54,6 +54,9 @@ CHECKPOINT_KIND = 0x01
 CHECKPOINT_VERSION = 1
 _STD_SLOTS = {"norm_std": slice(None), "ctx_stats": slice(1, 2)}
 CONTEXT_DIM = 2  # width of ContextVector.raw(): age and sex
+# Elements per AdamW block: the six block arrays a step touches (1.5 MiB)
+# stay in a 2 MiB L2 cache.
+_ADAMW_BLOCK = 2**15
 
 
 @dataclass
@@ -335,9 +338,9 @@ def forward_core(model, xb, ctxn, record=False):
         Normalized context vectors.
     record : bool
         Keep the tape that :func:`backward_core` consumes, in plan order:
-        a block's input, facet features and pre-activation sign (None if
-        linear), a pool's argmax, None for an unpool, and the bottleneck's
-        (d + ctx_dim, B·C) input rows.
+        a block's input and pre-activation sign (None if linear; its
+        backward makes the facet features again), a pool's argmax, None
+        for an unpool, and the bottleneck's (d + ctx_dim, B·C) input rows.
 
     Returns
     -------
@@ -508,9 +511,10 @@ def backward(model, batch):
 class AdamW:
     """Adam with decoupled weight decay; state keyed by parameter name.
 
-    :meth:`step` updates the moments and the parameters in place, with two
-    scratch arrays the size of one parameter, in the operation order of
-    the textbook expression, so it gives the same bits.
+    :meth:`step` updates the moments and the parameters in place, walking
+    each parameter in blocks of rows of about ``_ADAMW_BLOCK`` elements with
+    two reused scratch arrays of that size, in the operation order of the
+    textbook expression, so it gives the same bits.
     """
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -527,22 +531,26 @@ class AdamW:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for name, p in params.items():
-            g, m, v = grads[name], self.m[name], self.v[name]
-            a, b = np.empty_like(p), np.empty_like(p)
-            m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, g, out=a)
-            v *= self.beta2
-            np.multiply(1.0 - self.beta2, g, out=a)
-            v += np.multiply(a, g, out=a)
-            np.divide(m, bc1, out=a)  # m_hat
-            np.divide(v, bc2, out=b)  # v_hat
-            np.sqrt(b, out=b)
-            b += self.eps
-            a /= b
-            a += np.multiply(weight_decay, p, out=b)
-            a *= lr
-            p -= a
+        scratch = np.empty((2, max([_ADAMW_BLOCK] + [p[0].size for p in params.values()])))
+        for name, param in params.items():
+            rows = max(1, _ADAMW_BLOCK // param[0].size)
+            for lo in range(0, len(param), rows):
+                p, g, m, v = (arr[lo:lo + rows] for arr in
+                              (param, grads[name], self.m[name], self.v[name]))
+                a, b = (buf[:p.size].reshape(p.shape) for buf in scratch)
+                m *= self.beta1
+                m += np.multiply(1.0 - self.beta1, g, out=a)
+                v *= self.beta2
+                np.multiply(1.0 - self.beta2, g, out=a)
+                v += np.multiply(a, g, out=a)
+                np.divide(m, bc1, out=a)  # m_hat
+                np.divide(v, bc2, out=b)  # v_hat
+                np.sqrt(b, out=b)
+                b += self.eps
+                a /= b
+                a += np.multiply(weight_decay, p, out=b)
+                a *= lr
+                p -= a
 
 
 @dataclass
@@ -625,7 +633,7 @@ def train(model, train_set, val_set, config, verbose=False):
     ]
     best_val = epoch0_val
     best_epoch = 0
-    best_params = model.copy_params()
+    best_params = model.copy_params()  # refreshed in place, then handed back
     stale = 0
 
     for epoch in range(1, config.epochs + 1):
@@ -662,14 +670,15 @@ def train(model, train_set, val_set, config, verbose=False):
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_params = model.copy_params()
+            for name, arr in model.params.items():
+                np.copyto(best_params[name], arr)
             stale = 0
         else:
             stale += 1
             if stale >= config.patience:
                 break
 
-    model.load_params(best_params)
+    model.params = best_params
     return TrainResult(
         history=history,
         best_epoch=best_epoch,

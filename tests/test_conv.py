@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from smmn import conv, mesh, spharm
-from smmn.errors import ShapeError
+from smmn.errors import InvariantError, ShapeError
 
 import oracles
 
@@ -710,28 +710,69 @@ def test_backward_folds_sum_in_their_documented_order(surface, request):
     np.testing.assert_array_equal(np.moveaxis(summed, -1, 0), expected)
 
 
+def _traced_peak(call):
+    """The tracemalloc peak of ``call()``, run once before to build the
+    cached full selection outside the trace."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_f2v_backward_peak_is_its_fold_buffer_and_one_gradient():
-    # Past the chunk loop, the backward holds its (D, V, B, in) fold buffer
-    # and the (F, B, in) input gradient it folds into, and no second
-    # gradient-sized temporary.  At 4 channels the chunk temporaries are
-    # small beside these.
+    # The backward holds the (F, B, in) input gradient it folds into and
+    # its chunk buffers, no (D, V, B, in) slot-share buffer (7.9 MiB here)
+    # and no second gradient-sized temporary.
     m = mesh.icosphere(4)
     ctx = conv.conv_context(m, 3)
     rng = np.random.default_rng(16)
-    batch, ch = 8, 4
+    batch, ch = 8, 8
     c = rng.standard_normal((ch, ch, spharm.num_coefficients(3)))
     h = np.moveaxis(rng.standard_normal((ctx.num_facets, batch, ch)), 0, -1)
     z = np.moveaxis(rng.standard_normal((ctx.num_vertices, batch, ch)), 0, -1)
-    fold_buffer = ctx.slot_basis.shape[0] * ctx.num_vertices * batch * ch * 8
+    slot_shares = ctx.slot_basis.shape[0] * ctx.num_vertices * batch * ch * 8
     gradient = ctx.num_facets * batch * ch * 8
-    conv.f2v_backward_core(ctx, c, h, z)  # builds the cached full selection
-    tracemalloc.start()
-    try:
-        conv.f2v_backward_core(ctx, c, h, z)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < fold_buffer + 1.5 * gradient
+    bound = 1.5 * gradient + 2 * conv._F2V_AGGREGATE_BYTES
+    assert bound < slot_shares
+    assert _traced_peak(lambda: conv.f2v_backward_core(ctx, c, h, z)) < bound
+
+
+def test_v2f_backward_peak_is_one_gradient_and_its_chunk_buffers():
+    # The backward holds the (V, B, in) input gradient it folds into and
+    # its chunk buffers, no (3F, B, in) corner-share buffer (7.5 MiB here)
+    # and no gathered (F·B, 3·in) corner table.
+    m = mesh.icosphere(4)
+    ctx = conv.conv_context(m, 3)
+    rng = np.random.default_rng(22)
+    batch, ch = 8, 8
+    c = rng.standard_normal((ch, ch, spharm.num_coefficients(3)))
+    x = np.moveaxis(rng.standard_normal((ctx.num_vertices, batch, ch)), 0, -1)
+    y = np.moveaxis(rng.standard_normal((ctx.num_facets, batch, ch)), 0, -1)
+    corner_shares = 3 * ctx.num_facets * batch * ch * 8
+    gradient = ctx.num_vertices * batch * ch * 8
+    bound = 1.5 * gradient + 3 * conv._V2F_CHUNK_BYTES
+    assert bound < corner_shares
+    assert _traced_peak(lambda: conv.v2f_backward_core(ctx, c, x, y)) < bound
+
+
+def test_fold_adds_a_column_slice_and_rejects_rows_that_do_not_fit():
+    # _fold adds the rows of a column slice into their total rows, and
+    # checks sizes and layout before scipy's kernel, which would write
+    # wherever they point.
+    m = mesh.icosphere(1)
+    ctx = conv.conv_context(m, 3)
+    total = np.zeros((ctx.num_vertices, 2, 3))
+    rows = np.ones((4, 3, 6))  # corners 12..23, one (2, 3) row each
+    conv._fold(total, ctx.vertex_corners, slice(12, 24), rows)
+    counts = np.bincount(m.facets.reshape(-1)[12:24], minlength=ctx.num_vertices)
+    np.testing.assert_array_equal(total, np.broadcast_to(counts[:, None, None], total.shape))
+    with pytest.raises(InvariantError):
+        conv._fold(total, ctx.vertex_corners, slice(12, 24), rows[:3])
+    with pytest.raises(InvariantError):
+        conv._fold(total.transpose(0, 2, 1), ctx.vertex_corners, slice(12, 24), rows)
 
 
 @pytest.mark.parametrize("chunked", [True, False])
@@ -761,8 +802,8 @@ def test_f2v_paths_pass_the_fd_and_adjoint_oracles(chunked, hull, monkeypatch):
 @pytest.mark.parametrize("surface", ["icosphere", "hull"])
 def test_aggregate_backward_folds_sum_in_their_documented_order(surface, request):
     # A vertex's slot shares are its basis rows times the aggregate's
-    # gradient dy C_k; the input gradient adds them, to the bit, over a
-    # facet's corners j = 0, 1, 2.
+    # gradient dy C_k; the input gradient adds them, to the bit, one at a
+    # time into each facet's row, in ascending vertex id.
     m = request.getfixturevalue(surface) if surface == "hull" else mesh.icosphere(2)
     ctx = conv.conv_context(m, 3)
     rng = np.random.default_rng(18)
@@ -776,35 +817,27 @@ def test_aggregate_backward_folds_sum_in_their_documented_order(surface, request
     shares = np.matmul(ctx.slot_basis.transpose(1, 0, 2),
                        grad_agg.reshape(k, v, -1).transpose(1, 0, 2))  # (V, D, B·in)
     expected = np.zeros((f, batch * ch))
-    for corner, vertex in enumerate(m.facets.reshape(-1)):
-        slot = np.flatnonzero(m.one_ring[vertex] == corner)[0]
-        expected[corner // 3] += shares[vertex, slot]
+    for vertex in range(v):
+        for slot, corner in enumerate(m.one_ring[vertex]):
+            if corner >= 0:
+                expected[corner // 3] += shares[vertex, slot]
     grad_h, _ = conv.f2v_backward_core(ctx, c, h, z)
     np.testing.assert_array_equal(np.moveaxis(grad_h, -1, 0).reshape(f, -1), expected)
 
 
 def _f2v_peaks(ctx, batch, ch, rng):
     # Traced peaks of one forward and one backward call at (B, ch, ch),
-    # with the (K, V, B, in) whole-mesh aggregate, the (D, V, B, in) fold
-    # buffer and the (F, B, in) gradient they are held to.
+    # with the (K, V, B, in) whole-mesh aggregate, and the backward's
+    # bound: the (F, B, in) gradient plus its chunk buffers.
     k = ctx.slot_basis.shape[2]
     c = rng.standard_normal((ch, ch, k))
     h = np.moveaxis(rng.standard_normal((ctx.num_facets, batch, ch)), 0, -1)
     z = np.moveaxis(rng.standard_normal((ctx.num_vertices, batch, ch)), 0, -1)
-    peaks = []
-    for call in (lambda: conv.f2v_forward_core(ctx, h, c),
-                 lambda: conv.f2v_backward_core(ctx, c, h, z)):
-        call()  # builds the cached full selection outside the trace
-        tracemalloc.start()
-        try:
-            call()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [_traced_peak(lambda: conv.f2v_forward_core(ctx, h, c)),
+             _traced_peak(lambda: conv.f2v_backward_core(ctx, c, h, z))]
     aggregate = k * ctx.num_vertices * batch * ch * 8
-    fold_buffer = ctx.slot_basis.shape[0] * ctx.num_vertices * batch * ch * 8
     gradient = ctx.num_facets * batch * ch * 8
-    return peaks, aggregate, fold_buffer + 1.5 * gradient
+    return peaks, aggregate, 1.5 * gradient + 2 * conv._F2V_AGGREGATE_BYTES
 
 
 def test_f2v_calls_never_hold_a_full_mesh_filter():
@@ -821,10 +854,10 @@ def test_f2v_calls_never_hold_a_full_mesh_filter():
 
 
 def test_f2v_aggregate_peaks_hold_no_full_aggregate():
-    # At order 4, B = 2 with 16 channels, the backward peaks below its
-    # (D, V, B, in) fold buffer plus 1.5 (F, B, in) gradients, and neither
-    # call holds the (K, V, B, in) aggregate of the whole mesh (10 MiB):
-    # each works on one chunk buffer of 1 MiB.
+    # At order 4, B = 2 with 16 channels, the backward peaks below 1.5
+    # (F, B, in) gradients plus two chunk budgets, and neither call holds
+    # the (K, V, B, in) aggregate of the whole mesh (10 MiB): each works on
+    # one chunk buffer of 1 MiB.
     ctx = conv.conv_context(mesh.icosphere(4), 3)
     (forward, backward), aggregate, bound = _f2v_peaks(
         ctx, 2, 16, np.random.default_rng(20))

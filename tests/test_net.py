@@ -136,21 +136,24 @@ def test_forward_deterministic(tiny_model, tiny_sample):
 
 
 def test_forward_tape_keeps_vertex_major_views(tiny_model):
-    # Each block's saved input h, facet features g and boolean
-    # pre-activation sign is a (B, C, N) view of a C-contiguous (N, B, C)
-    # buffer, so no step has fallen back to a copy in another layout; the
-    # linear last block saves no sign.
+    # Each block's entry is its saved input h and boolean pre-activation
+    # sign, each a (B, C, N) view of a C-contiguous (N, B, C) buffer, so no
+    # step has fallen back to a copy in another layout.  It keeps no facet
+    # features, which the backward makes again; the linear last block
+    # saves no sign.
     rng = np.random.default_rng(3)
     masks = [net.sample_mask(42, 0.5, rng) for _ in range(3)]
     xb, _ = net.masked_batch(tiny_model, rng.standard_normal((3, 2, 42)), masks)
     _, tape = net.forward_core(tiny_model, xb, rng.standard_normal((3, 2)),
                                record=True)
-    blocks = [saved for step, saved in zip(tiny_model.config.plan(), tape)
+    blocks = [(step[2], saved) for step, saved in zip(tiny_model.config.plan(), tape)
               if step[0] == "block"]
-    assert [sign is None for _, _, sign in blocks] == [False, False, False, True]
-    for h, g, sign in blocks:
+    assert [len(saved) for _, saved in blocks] == [2, 2, 2, 2]
+    assert [sign is None for _, (_, sign) in blocks] == [False, False, False, True]
+    for order, (h, sign) in blocks:
+        assert h.shape[2] == tiny_model.hierarchy.mesh(order).num_vertices
         assert sign is None or sign.dtype == bool
-        for a in [h, g] + ([] if sign is None else [sign]):
+        for a in [h] + ([] if sign is None else [sign]):
             assert a.shape[0] == 3 and a.shape[1] > 1
             assert a.transpose(2, 0, 1).flags.c_contiguous
 
@@ -295,15 +298,17 @@ def test_training_step_frees_the_tape_as_backward_consumes_it():
     # whole tape with float64 pre-activations through the backward, beside
     # a zero gradient for every parameter, peaked at 1.77x the bytes of
     # such a tape (42.5 MiB); popping each entry as the backward uses it
-    # and saving only the activation sign gives 1.43x (34.3 MiB).
+    # and saving only the activation sign gave 1.43x (34.3 MiB).  The
+    # bound now counts each block's input and pre-activation only: the
+    # facet features are not kept but made again in the backward, and the
+    # backward cores fold in chunks.
     model = net.MMNModel(net.ModelConfig(input_order=4, channels=(16, 32)))
     batch = 4
-    float_tape = 0  # each block's input, facet features and pre-activation
+    float_tape = 0  # each block's input and pre-activation
     for _, _, order, w_in, w_out, _ in (s for s in model.config.plan()
                                         if s[0] == "block"):
         num_v = model.hierarchy.mesh(order).num_vertices
-        float_tape += 8 * batch * (num_v * w_in + 2 * (num_v - 2) * w_out
-                                   + num_v * w_out)
+        float_tape += 8 * batch * (num_v * w_in + num_v * w_out)
     net.backward_core(model, *_recorded_step(model, batch, 6))  # fills the caches
     try:
         step = _recorded_step(model, batch, 6, tracemalloc.start)
@@ -312,6 +317,30 @@ def test_training_step_frees_the_tape_as_backward_consumes_it():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * float_tape
+
+
+def test_block_backward_matches_the_formula_on_the_forwards_facet_features():
+    # The backward makes the facet features again from the saved input;
+    # its gradients equal, to the bit, the chained cores run on the facet
+    # features the forward itself made, at order 2 and B = 3.
+    ctx = conv.conv_context(mesh.icosphere(2), 3)
+    rng = np.random.default_rng(21)
+    k = spharm.num_coefficients(3)
+    vf, fv = rng.standard_normal((5, 4, k)), rng.standard_normal((5, 5, k))
+    bias = rng.standard_normal(5)
+    h = np.moveaxis(rng.standard_normal((ctx.num_vertices, 3, 4)), 0, -1)
+    grad_out = rng.standard_normal((3, 5, ctx.num_vertices))
+    for activate in (True, False):
+        _, saved = conv.block_forward(ctx, h, vf, fv, bias, activate)
+        g = conv.v2f_forward_core(ctx, h, vf)
+        pre = conv.f2v_forward_core(ctx, g, fv) + bias[:, None]
+        dy = grad_out * np.where(pre > 0.0, 1.0, conv.LEAKY_SLOPE) if activate else grad_out
+        grad_g, grad_fv = conv.f2v_backward_core(ctx, fv, g, dy)
+        grad_h, grad_vf = conv.v2f_backward_core(ctx, vf, h, grad_g)
+        expected = (grad_h, grad_vf, grad_fv, dy.sum(axis=(0, 2)))
+        got = conv.block_backward(ctx, saved, vf, fv, grad_out)
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_permutation_covariance():
@@ -392,11 +421,17 @@ def test_cosine_schedule_endpoints():
     assert 1e-6 < mid < 1e-3
 
 
-def test_adamw_step_is_the_textbook_update_in_place():
+def test_adamw_step_is_the_textbook_update_in_place(monkeypatch):
     # Five steps with weight decay give the bits of the textbook expression,
-    # and a step holds at most 2.5 parameter sizes beyond the state.
+    # and a step holds two block-sized scratch arrays beyond the state,
+    # not parameter-sized ones (8 MiB for "big").  With blocks of 3000
+    # elements "big" spans 170 blocks of three rows and a ragged one of
+    # two, "long" three blocks of 3000 elements and a ragged one of 1000,
+    # and a row of "wide" exceeds a block, so it is one.
+    monkeypatch.setattr(net, "_ADAMW_BLOCK", 3000)
     rng = np.random.default_rng(3)
-    shapes = {"big": (512, 1024), "small": (3, 4, 5)}  # "big" is 4 MiB
+    shapes = {"big": (512, 1000), "long": (10000,), "wide": (2, 4000),
+              "small": (3, 4, 5)}  # "big" is 3.9 MiB
     params = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
     ref = {name: p.copy() for name, p in params.items()}
     m = {name: np.zeros(shape) for name, shape in shapes.items()}
@@ -419,7 +454,7 @@ def test_adamw_step_is_the_textbook_update_in_place():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * params["big"].nbytes
+        assert peak <= 2 * 8 * 4000 + 4096  # the scratch, as wide as the widest row
         for name in shapes:
             np.testing.assert_array_equal(params[name], ref[name])
             np.testing.assert_array_equal(opt.m[name], m[name])
