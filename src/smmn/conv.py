@@ -27,7 +27,13 @@ The cores take and return (B, C, N) arrays but compute on their
 vertex- or facet-major (N, B, C) row tables, so a channel mix is one
 2-D GEMM on (N·B, C) rows.  The network carries every feature as a
 (B, C, N) view of a C-contiguous (N, B, C) buffer, so these row tables
-cost no copy.
+cost no copy.  Every channel-mix GEMM runs on a multiple of 16 rows
+(:func:`_padded`; gather indices and buffers hold the pad rows) with a
+C-contiguous right operand.  OpenBLAS then computes a row as among any
+other multiple of 16 rows, on its SkylakeX and Haswell kernels alike: a
+row's bits do not depend on how many rows share its GEMM.  The limit: on
+SkylakeX, products below about 1e6 multiply-adds with an output width of
+2, 4 or 12 run on another kernel, which rounds otherwise.
 
 A forward core computes the (row, batch) entries of a :class:`RowSelection`,
 reading its input rows through the selection's flat gather indices:
@@ -48,17 +54,16 @@ first facet under a zero basis.  The dense pool's -1 pads read an appended
 facets: each chunk's shares are added into the input gradient in place, in
 the order of a cached sparse 0/1 matrix's columns (a vertex's corners in
 ascending id, a facet's corners in ascending vertex id), so no full-mesh
-share buffer is made.  A cluster's members are summed by one sparse product.
+share buffer is made; an unpool's backward folds its clusters so too.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_array
 from scipy.sparse._sparsetools import csc_matvecs
 
 from .errors import InvariantError, ShapeError, UsageError
-from .mesh import incidence_angles
+from .mesh import incidence_angles, scatter_matrix
 from .spharm import filter_basis
 
 LEAKY_SLOPE = 0.01
@@ -71,12 +76,10 @@ _V2F_ANGLES = ((np.pi / 2.0, 0.0), (np.pi / 2.0, np.pi / 2.0), (0.0, 0.0))
 _F2V_AGGREGATE_BYTES = 2**20
 
 # Bytes of one vertex2facet backward chunk buffer, (rows, 3, B·in) corner
-# shares.  A chunk is a multiple of _V2F_ROWS facets, so each chunk's GEMMs
-# but the last start at a multiple of 16 rows, where BLAS computes a row as
-# in the whole product (at 1, 16 and 32 input channels; at 2 or 4 with 16
-# or more output channels OpenBLAS rounds by the row count).
+# shares.
 _V2F_CHUNK_BYTES = 2**20
-_V2F_ROWS = 16
+
+_ROWS = 16  # see _padded
 
 
 @dataclass
@@ -141,7 +144,7 @@ class ConvContext:
     facet2vertex's means), zero past the degree.  ``slot_facets`` holds
     the facet ids; a slot past the degree repeats the vertex's first
     facet, a row the vertex reads anyway.  The backward folds scatter by
-    two 0/1 ``csc_array`` matrices (:func:`_fold`): column c of
+    two 0/1 :func:`~smmn.mesh.scatter_matrix` matrices (:func:`_fold`): column c of
     ``vertex_corners`` (V, 3F) holds corner c's vertex, column v·D + d of
     ``facet_slots`` (F, V·D) the facet of vertex v's ring slot d, none
     past the degree.  :meth:`full_selection` caches dense selections.
@@ -160,9 +163,9 @@ class ConvContext:
         ring = mesh.one_ring  # (V, D), -1 past the degree
         slots = np.ascontiguousarray(ring.T)
         self.slot_facets = np.where(slots >= 0, slots, slots[0]) // 3
-        self.vertex_corners = _scatter_matrix(mesh.facets.reshape(-1), self.num_vertices)
-        self.facet_slots = _scatter_matrix(np.where(ring >= 0, ring // 3, -1).reshape(-1),
-                                           self.num_facets)
+        self.vertex_corners = scatter_matrix(mesh.facets.reshape(-1), self.num_vertices)
+        self.facet_slots = scatter_matrix(np.where(ring >= 0, ring // 3, -1).reshape(-1),
+                                          self.num_facets)
 
         theta, phi = incidence_angles(mesh)
         # Weight 1/degree makes slot sums means; weight 0 clears the pads,
@@ -186,7 +189,7 @@ class ConvContext:
         dense = reads is None
         if dense:
             reads = np.arange(self.num_vertices * batch).reshape(-1, batch)
-        f, b = entries(facets, base)
+        f, b = (np.pad(i, (0, _padded(len(i)) - len(i))) for i in entries(facets, base))
         facet_rows = RowSelection(facets, reads[self.corners[:, f], b], base,
                                   full=dense and facets.all())
         slot_reads = (np.arange(self.num_facets * batch).reshape(-1, batch)
@@ -233,9 +236,18 @@ def _cols(rows):
     return np.moveaxis(rows, 0, -1)
 
 
-def _summed(matrix, rows):
-    """``matrix @ rows`` for an (N, ...) row table, as a row table."""
-    return (matrix @ rows.reshape(len(rows), -1)).reshape((-1,) + rows.shape[1:])
+def _padded(count):
+    """The row count of a channel-mix GEMM on ``count`` rows: the next
+    multiple of _ROWS, the module docstring's row rule."""
+    return -(-count // _ROWS) * _ROWS
+
+
+def _window(table, start, count):
+    """Rows ``start`` on of an (N, C) table, ``_padded(count)`` of them, as
+    a view, or with zero rows past the table's end."""
+    rows = _padded(count)
+    block = table[start:start + rows]
+    return block if len(block) == rows else np.pad(block, ((0, rows - len(block)), (0, 0)))
 
 
 def _flat(x):
@@ -278,7 +290,8 @@ class RowSelection:
     entries equal.  ``full`` says the rows are the dense (N, B) table.
 
     ``gather`` holds the flat input rows each output row reads: (3, P)
-    facet corners for vertex2facet, (P, D) cluster members with -1 pads
+    facet corners for vertex2facet, P rounded up by :func:`_padded` (a pad
+    reads facet 0 at batch id 0), (P, D) cluster members with -1 pads
     for a pool, (P,) parents for an unpool.  For facet2vertex it is (D, A,
     W), ring slot d of vertex ``active[a]`` at W batch ids: (D, V, B) for
     every vertex at every batch id (``active`` None), else (D, P, 1), one
@@ -302,8 +315,11 @@ class RowSelection:
         return np.hstack([pos, tail]) if self.base else pos
 
     def result(self, picked):
-        """A core's output from its computed rows: the (B, C, N) table for
-        the full selection, else the (C, P) rows of :func:`entries`."""
+        """A core's output from its computed rows, which lead ``picked``
+        (pad rows may follow): the (B, C, N) table for the full selection,
+        else the (C, P) rows of :func:`entries`."""
+        size = np.count_nonzero(self.mask) + self.base * len(self.mask)
+        picked = picked.reshape(-1, picked.shape[-1])[:size]
         return _cols(picked.reshape((self.mask.shape if self.full else (-1,))
                                     + picked.shape[-1:]))
 
@@ -314,10 +330,11 @@ def v2f_forward_core(ctx, x, coeffs, *, rows=None):
     three GEMMs on the gathered corner rows."""
     rows = rows or ctx.full_selection(x.shape[0])[0]
     fj = np.einsum("oik,jk->joi", coeffs, ctx.v2f_basis)
+    fj = np.ascontiguousarray(fj.transpose(0, 2, 1))  # (3, in, out)
     flat = _flat(x)
-    picked = flat.take(rows.gather[0], axis=0) @ fj[0].T
-    picked += flat.take(rows.gather[1], axis=0) @ fj[1].T
-    picked += flat.take(rows.gather[2], axis=0) @ fj[2].T
+    picked = flat.take(rows.gather[0], axis=0) @ fj[0]
+    picked += flat.take(rows.gather[1], axis=0) @ fj[1]
+    picked += flat.take(rows.gather[2], axis=0) @ fj[2]
     return rows.result(picked)
 
 
@@ -327,39 +344,29 @@ def v2f_backward_core(ctx, coeffs, x, grad_out):
     reused buffer, are added to each vertex's rows in ascending corner id
     (:func:`_fold`), and its corners' input rows, gathered side by side into
     a (rows·B, 3·in) table, give the coefficient gradient in one GEMM."""
-    fj = np.einsum("oik,jk->joi", coeffs, ctx.v2f_basis)
+    fj = np.ascontiguousarray(np.einsum("oik,jk->joi", coeffs, ctx.v2f_basis))
     batch, out_ch, num_f = grad_out.shape
-    flat = _flat(x)
-    in_ch = flat.shape[1]
-    dy = _flat(grad_out)  # (F·B, out)
-    gather = ctx.full_selection(batch)[0].gather  # (3, F·B)
+    flat, in_ch = _flat(x), x.shape[1]
+    dy = np.ascontiguousarray(_flat(grad_out))  # (F·B, out)
+    gather = ctx.full_selection(batch)[0].gather  # (3, F·B + pad)
     grad_x = np.zeros((ctx.num_vertices, batch, in_ch))
     grad_fj = np.zeros((out_ch, 3 * in_ch))  # dyᵀ [x_0 x_1 x_2]
-    step = _V2F_ROWS * max(1, _V2F_CHUNK_BYTES // (_V2F_ROWS * 24 * batch * in_ch))
+    # A multiple of _ROWS facets, so no chunk but the last has pad rows.
+    step = _ROWS * max(1, _V2F_CHUNK_BYTES // (_ROWS * 24 * batch * in_ch))
     shares = np.empty((min(step, num_f), 3, batch * in_ch))  # row 3f + j: corner j's
     corners = np.empty((min(step, num_f) * batch, 3, in_ch))
     for lo in range(0, num_f, step):
         count = min(step, num_f - lo)
         part = slice(lo * batch, (lo + count) * batch)
-        dyc = dy[part]
+        dyc = _window(dy, part.start, count * batch)
         for j in range(3):
-            shares[:count, j] = (dyc @ fj[j]).reshape(count, -1)
+            shares[:count, j] = (dyc @ fj[j])[:count * batch].reshape(count, -1)
         _fold(grad_x, ctx.vertex_corners, slice(3 * lo, 3 * (lo + count)), shares[:count])
-        picked = np.take(flat, gather[:, part].T, axis=0, out=corners[:len(dyc)],
+        picked = np.take(flat, gather[:, part].T, axis=0, out=corners[:count * batch],
                          mode="clip")  # the gather's ids are in range
-        grad_fj += dyc.T @ picked.reshape(len(dyc), -1)
+        grad_fj += dyc[:count * batch].T @ picked.reshape(count * batch, -1)
     grad_coeffs = np.einsum("oji,jk->oik", grad_fj.reshape(out_ch, 3, in_ch), ctx.v2f_basis)
     return _cols(grad_x), grad_coeffs
-
-
-def _scatter_matrix(keys, n):
-    """The (n, len(keys)) 0/1 int32-indexed ``csc_array`` whose column c
-    holds one 1, in row keys[c], or none if keys[c] < 0."""
-    keep = keys >= 0
-    indptr = np.zeros(len(keys) + 1, dtype=np.int32)
-    np.cumsum(keep, out=indptr[1:])
-    return csc_array((np.ones(indptr[-1]), keys[keep].astype(np.int32), indptr),
-                     shape=(n, len(keys)))
 
 
 def _fold(total, matrix, cols, rows):
@@ -377,16 +384,6 @@ def _fold(total, matrix, cols, rows):
                 matrix.indices, matrix.data, rows.reshape(-1), total.reshape(-1))
 
 
-def _row_product(a, b, out=None):
-    """``a @ b`` for a stack of (rows, n) matrices, each row computed as it
-    is among many: numpy runs a one-row product as a GEMV, which rounds
-    otherwise, so a single row is computed as two.  ``out``, if given,
-    takes the product, as in ``np.matmul``."""
-    if a.shape[-2] > 1:
-        return np.matmul(a, b, out=out)
-    return np.positive(np.matmul(a.repeat(2, axis=-2), b)[..., :1, :], out=out)
-
-
 def _f2v_step(ctx, width):
     """Vertices per facet2vertex chunk of W·in = ``width`` columns."""
     return max(1, _F2V_AGGREGATE_BYTES // (8 * ctx.slot_basis.shape[2] * width))
@@ -394,21 +391,22 @@ def _f2v_step(ctx, width):
 
 def _aggregates(ctx, flat, gather, active):
     """Per vertex chunk of a (D, A, W) facet2vertex ``gather``, its slice
-    and the (K, rows, W·in) sums a[k, a] = sum_d slot_basis[d, a, k]
-    flat[gather[d, a]] (``active`` as in :class:`RowSelection`), in one
-    reused buffer of at most _F2V_AGGREGATE_BYTES."""
+    and the (K, rows·W, in) sums a[k, a] = sum_d slot_basis[d, a, k]
+    flat[gather[d, a]] (``active`` as in :class:`RowSelection`), then pad
+    rows, in one reused buffer of about _F2V_AGGREGATE_BYTES."""
     slots, count, width = gather.shape
-    k, width = ctx.slot_basis.shape[2], width * flat.shape[1]
-    step = _f2v_step(ctx, width)
-    buffer = np.empty((k, min(step, count), width))
+    k, in_ch = ctx.slot_basis.shape[2], flat.shape[1]
+    step = _f2v_step(ctx, width * in_ch)
+    buffer = np.zeros((k, _padded(min(step, count) * width), in_ch))
     for lo in range(0, count, step):
         part = slice(lo, min(lo + step, count))
         basis = ctx.slot_basis[:, part if active is None else active[part]]
-        agg = buffer[:, :part.stop - lo]
+        rows = (part.stop - lo) * width
         np.matmul(basis.transpose(1, 2, 0),  # (rows, K, D) @ (rows, D, W·in)
                   flat.take(gather[:, part].transpose(1, 0, 2), axis=0).reshape(
-                      -1, slots, width), out=agg.transpose(1, 0, 2))
-        yield part, agg
+                      -1, slots, width * in_ch),
+                  out=buffer[:, :rows].reshape(k, -1, width * in_ch).transpose(1, 0, 2))
+        yield part, buffer[:, :_padded(rows)]
 
 
 def f2v_forward_core(ctx, h, coeffs, *, rows=None):
@@ -416,16 +414,15 @@ def f2v_forward_core(ctx, h, coeffs, *, rows=None):
     :class:`RowSelection` of the (V, B) table (every pair by default): per
     vertex chunk, one GEMM per filter term mixes its ring sums
     (:func:`_aggregates`), added in term order.  A row's bits do not depend
-    on the other rows."""
+    on the other rows, within the module docstring's limit."""
     rows = rows or ctx.full_selection(h.shape[0])[1]
-    out_ch, in_ch, k = coeffs.shape
-    flat = _flat(h)
+    out_ch = coeffs.shape[0]
     mix = np.ascontiguousarray(coeffs.transpose(2, 1, 0))  # (K, in, out)
     acc = np.zeros(rows.gather.shape[1:] + (out_ch,))  # (A, W, out)
-    for part, agg in _aggregates(ctx, flat, rows.gather, rows.active):
+    for part, agg in _aggregates(ctx, _flat(h), rows.gather, rows.active):
         chunk = acc[part].reshape(-1, out_ch)
-        for term in _row_product(agg.reshape(k, -1, in_ch), mix):
-            chunk += term
+        for term in np.matmul(agg, mix):
+            chunk += term[:len(chunk)]
         del term  # and with it the chunk's (K, rows, out) products
     return rows.result(acc)
 
@@ -440,7 +437,7 @@ def f2v_backward_core(ctx, coeffs, h, grad_out):
     out_ch, c_in, k = coeffs.shape
     batch = h.shape[0]
     flat = _flat(h)
-    dv = np.ascontiguousarray(_rows(grad_out))  # (V, B, out)
+    dv = np.ascontiguousarray(_flat(grad_out))  # (V·B, out)
     gather = ctx.full_selection(batch)[1].gather  # (D, V, B)
     slots = len(gather)
     grad_h = np.zeros((ctx.num_facets, batch, c_in))
@@ -449,12 +446,13 @@ def f2v_backward_core(ctx, coeffs, h, grad_out):
     mix = np.ascontiguousarray(coeffs.transpose(2, 0, 1))  # (K, out, in)
     grad_coeffs = np.zeros((k, out_ch, c_in))
     for part, agg in _aggregates(ctx, flat, gather, None):
-        dy = dv[part].reshape(-1, out_ch)  # (rows·B, out)
-        grad_coeffs += np.matmul(dy.T, agg.reshape(k, -1, c_in))
-        _row_product(dy, mix, out=agg.reshape(k, -1, c_in))  # the gradient, in place
+        count = (part.stop - part.start) * batch
+        window = _window(dv, part.start * batch, count)  # (rows·B + pad, out)
+        grad_coeffs += np.matmul(window[:count].T, agg[:, :count])
+        np.matmul(window, mix, out=agg)  # the gradient, in place
         chunk = shares[:part.stop - part.start]
-        np.matmul(ctx.slot_basis[:, part].transpose(1, 0, 2), agg.transpose(1, 0, 2),
-                  out=chunk)
+        np.matmul(ctx.slot_basis[:, part].transpose(1, 0, 2),
+                  agg[:, :count].reshape(k, -1, batch * c_in).transpose(1, 0, 2), out=chunk)
         _fold(grad_h, ctx.facet_slots, slice(slots * part.start, slots * part.stop), chunk)
     return _cols(grad_h), grad_coeffs.transpose(1, 2, 0)
 
@@ -536,7 +534,9 @@ def unpool_core(x, clustering, *, rows=None):
 
 
 def unpool_backward_core(grad_out, clustering):
-    return _cols(_summed(clustering.member_matrix, _rows(grad_out)))
+    grad_x = np.zeros((clustering.num_coarse,) + grad_out.shape[:-1])
+    _fold(grad_x, clustering.member_matrix, slice(0, clustering.num_fine), _rows(grad_out))
+    return _cols(grad_x)
 
 
 # ---------------------------------------------------------------------------

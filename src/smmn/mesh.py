@@ -10,10 +10,10 @@ order k-1 vertices, followed by edge midpoints in ascending
 
 Variable-size neighbourhoods (the facets around a vertex or an edge,
 the members of a pooling cluster) list their ids in ascending order, as
-a sparse 0/1 :func:`group_matrix`, whose product with a row table sums
-each group's rows in that order, or as its -1-padded :func:`padded_groups`
-table, which gathers read.  All structures are immutable after
-construction and safe to share across threads.
+a -1-padded :func:`padded_groups` table, which gathers read, or as a sparse
+0/1 :func:`scatter_matrix`, whose columns a fold (:func:`smmn.conv._fold`)
+adds into each group's row in that order.  All structures are immutable
+after construction and safe to share across threads.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +21,7 @@ from functools import cached_property
 import math
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csc_array
 from scipy.spatial import cKDTree
 
 from .errors import ConfigurationError, InvariantError, UsageError
@@ -39,23 +39,22 @@ def _normalize_rows(points):
     return points / norms
 
 
-def group_matrix(keys, n):
-    """Ids 0..len(keys)-1 grouped by key as an (n, len(keys)) 0/1 int32-indexed
-    ``csr_array``: row k lists the ids i with ``keys[i] == k`` in ascending
-    order, and a product with it sums each group's rows in that order."""
-    ids = np.arange(len(keys), dtype=np.int32)
-    return csr_array((np.ones(len(ids)), (np.asarray(keys, dtype=np.int32), ids)),
-                     shape=(n, len(ids)))
+def scatter_matrix(keys, n):
+    """Ids 0..len(keys)-1 grouped by key: the (n, len(keys)) 0/1 int32-indexed
+    ``csc_array`` whose column i holds a 1 in row keys[i], none if keys[i] < 0."""
+    keys = np.asarray(keys, dtype=np.int32)
+    ids = np.flatnonzero(keys >= 0).astype(np.int32)
+    return csc_array((np.ones(len(ids)), (keys[ids], ids)), shape=(n, len(keys)))
 
 
 def padded_groups(keys, n):
-    """The rows of :func:`group_matrix` as an (n, D) table of ids, padded
-    with -1 up to the largest group size D."""
-    groups = group_matrix(keys, n)
-    counts = np.diff(groups.indptr)
+    """Ids 0..len(keys)-1 grouped by key as an (n, D) table: row k lists the
+    ids with key k in ascending order, padded with -1 to the largest size D."""
+    keys = np.asarray(keys, dtype=np.int64)
+    counts = np.bincount(keys, minlength=n)
     table = np.full((n, counts.max(initial=0)), -1, dtype=np.int64)
-    # Boolean assignment fills row by row, in the order of the sorted ids.
-    table[np.arange(table.shape[1]) < counts[:, None]] = groups.indices
+    # Boolean assignment fills row by row, in the order of the stably sorted ids.
+    table[np.arange(table.shape[1]) < counts[:, None]] = np.argsort(keys, kind="stable")
     table.setflags(write=False)
     return table
 
@@ -297,7 +296,7 @@ class VertexClustering:
 
     ``parent[v]`` is the coarse vertex owning fine vertex v; every coarse
     vertex owns at least itself.  Row c of the (num_coarse, D) ``table``
-    (:func:`padded_groups`) and of the ``member_matrix`` (:func:`group_matrix`)
+    (:func:`padded_groups`) and of ``member_matrix`` (:func:`scatter_matrix`)
     lists cluster c's fine vertices in ascending order.
     """
 
@@ -309,7 +308,7 @@ class VertexClustering:
 
     @cached_property
     def member_matrix(self):
-        return group_matrix(self.parent, self.num_coarse)
+        return scatter_matrix(self.parent, self.num_coarse)
 
     @property
     def num_fine(self):

@@ -1,3 +1,7 @@
+import os
+from pathlib import Path
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -186,12 +190,12 @@ def _dense_scores(model, subject, atlas, normalized=True):
     return np.array(scores)
 
 
-def _random_order3_model():
+def _random_order3_model(channels=(8, 16), seed=3):
     """An order-3 model with random parameters and normalization."""
-    model = net.MMNModel(net.ModelConfig(input_order=3, channels=(8, 16),
+    model = net.MMNModel(net.ModelConfig(input_order=3, channels=channels,
                                          in_channels=2, channel_names=("a", "b"),
-                                         seed=3))
-    rng = np.random.default_rng(3)
+                                         seed=seed))
+    rng = np.random.default_rng(seed)
     for name, arr in model.params.items():
         if name.endswith("_b"):
             model.params[name] = 0.1 * rng.standard_normal(arr.shape)
@@ -282,6 +286,40 @@ def test_roi_tables_compute_no_pad_rows():
     assert sum(int(rows.mask.sum()) for rows in blocks) == 10531
     assert sum(rows.gather.shape[1] * rows.gather.shape[2] for rows in blocks) == (
         10531 + sum(len(rows.mask) for rows in blocks if rows.base))
+
+
+@pytest.mark.parametrize("seed, channels", [(0, (16, 32)), (1, (8, 12)), (2, (32, 16))])
+def test_every_roi_walk_equals_the_dense_masked_pass(seed, channels):
+    """For random order-3 models of three widths, each of the 34 ROIs'
+    one-ROI walk reconstructs the ROI's vertices to the bit as a dense
+    ROI-masked forward pass does: a row's bits do not depend on how many
+    rows its GEMMs hold."""
+    model = _random_order3_model(channels, seed)
+    atlas = synth.synthetic_atlas(model.hierarchy.mesh(3), 34)
+    rng = np.random.default_rng(seed)
+    xn = model.normalize(2.5 + 0.5 * rng.standard_normal((2, model.num_input_vertices)))
+    ctxn = model.normalize_context(net.ContextVector(60.0, 1.0))
+    for roi in atlas.roi_ids():
+        tables = anomaly.roi_tables(model, atlas, [roi])
+        walk = anomaly._reconstruct(model, xn, ctxn, tables)[:, tables.scored[0]]
+        xb, _ = net.masked_batch(model, xn[None], tables.vertices)
+        dense, _ = net.forward_core(model, xb, ctxn[None])
+        np.testing.assert_array_equal(walk, dense[0][:, tables.vertices[0]],
+                                      err_msg=f"ROI {roi}")
+
+
+def test_bit_exact_checks_pass_on_the_haswell_kernel():
+    """The row-bit checks hold under OpenBLAS's Haswell kernel too, the one
+    it picks on AVX2 CPUs without AVX-512: a child pytest runs them with
+    OPENBLAS_CORETYPE=Haswell, set in its environment only."""
+    tests = ["tests/test_anomaly.py::test_every_roi_walk_equals_the_dense_masked_pass",
+             "tests/test_anomaly.py::test_masking_locality_bit_exact",
+             "tests/test_conv.py::test_f2v_vertex_chunks_match_one_chunk"]
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           *tests], cwd=Path(__file__).resolve().parents[1],
+                          env=dict(os.environ, OPENBLAS_CORETYPE="Haswell"),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
 
 
 def test_non_finite_features_are_a_domain_error(setup):

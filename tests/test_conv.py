@@ -584,9 +584,7 @@ def test_f2v_vertex_chunks_match_one_chunk(chunk_rows, surface, request,
     # chunks' partial sums, so it agrees to rounding.  Budgets of 1, 7 and
     # 25 full-width aggregate rows give 1-vertex chunks and ragged last
     # chunks.  At B = 1 a 1-vertex chunk mixes one (vertex, batch) row,
-    # which numpy's one-row product would round otherwise: with one output
-    # channel the backward's one-row products are exact, so that case tests
-    # the forward's one-row guard, and with three the backward's.
+    # which its GEMMs pad to 16 rows, as every chunk.
     m = request.getfixturevalue(surface) if surface == "hull" else mesh.icosphere(2)
     ctx = conv.conv_context(m, 3)
     rng = np.random.default_rng(13)

@@ -119,11 +119,14 @@ def test_padded_groups_table():
     np.testing.assert_array_equal(table, [[1, 4, -1], [-1, -1, -1], [0, 2, 3],
                                           [-1, -1, -1]])
     assert mesh.padded_groups([], 2).shape == (2, 0)
-    groups = mesh.group_matrix([2, 0, 2, 2, 0], 4)
+    groups = mesh.scatter_matrix([2, 0, 2, 2, 0], 4)
     np.testing.assert_array_equal(groups.toarray(), [[0, 1, 0, 0, 1], [0] * 5,
                                                      [1, 0, 1, 1, 0], [0] * 5])
-    np.testing.assert_array_equal(groups.indices, [1, 4, 0, 2, 3])
+    np.testing.assert_array_equal(groups.indices, [2, 0, 2, 2, 0])
     assert groups.indices.dtype == groups.indptr.dtype == np.int32
+    # a negative key leaves its column empty
+    np.testing.assert_array_equal(mesh.scatter_matrix([1, -1, 0], 2).toarray(),
+                                  [[0, 0, 1], [1, 0, 0]])
 
 
 def test_edge_facets_are_the_two_facets_on_each_edge():
