@@ -13,21 +13,22 @@ detector subject-adaptive without retraining.  Everything here is
 deterministic: repeated runs give bit-identical reports.
 
 The R masked copies of a subject differ only near their ROIs, and each
-score reads only its ROI, so detection walks the plan once for all R
-copies and computes few of their rows.  Each step computes only its
-selected (vertex, ROI) rows and keeps them as a compact (C, P) table, not
-as an (R, C, N) one.  In the encoder these are its support, the rows that
-ROI's mask can reach, and every encoder step also computes the unmasked
-subject's rows (the base, B = 1), which every other row equals and reads.
-A pool computes the coarse rows with a selected member; the bottleneck
-reads and writes every row of the coarsest level.  Each decoder step
-computes only its demand, the rows that ROI's score reads through the
-steps after it, and a read outside the demand reaches a NaN row, so it
-makes the score non-finite and stops detection.  :func:`roi_tables`
-builds the supports, the demands and each step's gather indices, once
-per cohort.  Scores equal those of one standalone masked forward pass per
-ROI up to float64 rounding, and exactly for a single ROI
-(:func:`detect_roi`).
+score reads only its ROI, so detection runs the network's one forward
+walk, :func:`~smmn.net.forward_core`, once for all R copies on compact
+rows.  Each step computes only its selected (vertex, ROI) rows and keeps
+them as a (C, P) table, not as an (R, C, N) one.  In the encoder these
+are its support, the rows that ROI's mask can reach, and every encoder
+step also computes the unmasked subject's rows (the base, B = 1), which
+every other row equals and reads.  A pool computes the coarse rows with
+a selected member; the bottleneck reads and writes every row of the
+coarsest level.  Each decoder step computes only its demand, the rows
+that ROI's score reads through the steps after it, and a read outside
+the demand reaches a NaN row, so it makes the score non-finite and stops
+detection.  :func:`roi_tables` builds the supports, the demands and each
+step's gather indices, once per cohort.  Scores equal those of one
+standalone masked forward pass per ROI up to float64 rounding, and
+exactly for a single ROI (:func:`detect_roi`), whatever the order and
+the channel widths (see :mod:`smmn.conv`).
 
 A subject is the record training takes: detection reads only its
 ``subject_id``, ``features`` and ``context``, so a :class:`~smmn.net.Sample`
@@ -54,10 +55,9 @@ import warnings
 import numpy as np
 
 from . import conv
-from .conv import block_forward, pool_max_core, unpool_core
 from .errors import DomainError, ShapeError, UsageError
 from .io import Cursor
-from .net import ContextVector, bottleneck_forward
+from .net import ContextVector, forward_core
 
 
 @dataclass
@@ -100,18 +100,18 @@ def roi_residual_scores(residual, roi_vertices):
 class RoiTables:
     """What detection needs of one model and atlas, whatever the subject.
 
-    ``vertices[r]`` are the vertices of ROI ``roi_ids[r]``.  ``rows`` maps
-    each conv block's name to the (facet, vertex)
-    :class:`~smmn.conv.RowSelection` pair that the block computes (its
-    support in the encoder, its demand in the decoder), and each pool
-    and unpool step of the plan to its selection.  ``scored[r]`` are the
-    rows of the walk's output that ROI r's score reads, one per vertex
-    of ``vertices[r]``.
+    ``vertices[r]`` are the vertices of ROI ``roi_ids[r]``.  ``rows``
+    holds, in plan order, the :class:`~smmn.conv.RowSelection` that each
+    step computes, a (facet, vertex) pair for a conv block (its support
+    in the encoder, its demand in the decoder): the ``rows`` of
+    :func:`~smmn.net.forward_core`.  ``scored[r]`` are the rows of the
+    walk's output that ROI r's score reads, one per vertex of
+    ``vertices[r]``.
     """
 
     roi_ids: list
     vertices: list
-    rows: dict
+    rows: list
     scored: list
 
 
@@ -133,7 +133,7 @@ def roi_tables(model, atlas, roi_ids):
     through its :meth:`~smmn.conv.RowSelection.positions`: an encoder
     entry outside them reads the subject's unmasked row, which every
     encoder step also computes, and a decoder entry the NaN row after
-    them (see :func:`_reconstruct`).
+    them (see :func:`~smmn.net.forward_core`).
     """
     if atlas.num_vertices != model.num_input_vertices:
         raise ShapeError(f"atlas covers {atlas.num_vertices} vertices, model "
@@ -161,20 +161,20 @@ def roi_tables(model, atlas, roi_ids):
             else:
                 coarse = model.hierarchy.clustering(step[1]).member_matrix @ mask > 0
                 masks[i], mask = coarse if encoder else mask, coarse
-    rows = {}
+    rows = []
     out = conv.RowSelection(roi_mask, None, True)  # the ROI-masked input
     for i, step in enumerate(plan):
         reads = out.positions()
         if step[0] == "block":
-            rows[step[1]] = model.context_of(step[2]).select(*masks[i], reads, i < mid)
-            out = rows[step[1]][1]
+            rows.append(model.context_of(step[2]).select(*masks[i], reads, i < mid))
         elif step[0] == "bottleneck":
-            out = rows[step] = conv.gathering(masks[i], np.arange(len(masks[i])), reads)
+            rows.append(conv.gathering(masks[i], np.arange(len(masks[i])), reads))
         else:
             clustering = model.hierarchy.clustering(step[1])
             pool = step[0] == "pool"
-            out = rows[step] = conv.gathering(
-                masks[i], clustering.table if pool else clustering.parent, reads, pool)
+            rows.append(conv.gathering(
+                masks[i], clustering.table if pool else clustering.parent, reads, pool))
+        out = rows[-1][1] if step[0] == "block" else rows[-1]
     reads = out.positions()
     scored = [reads[verts, r] for r, verts in enumerate(vertices)]
     return RoiTables([int(r) for r in roi_ids], vertices, rows, scored)
@@ -183,42 +183,45 @@ def roi_tables(model, atlas, roi_ids):
 def _reconstruct(model, xn, ctxn, tables):
     """The (C_in, P + 1) rows that the scores of the normalized subject
     ``xn`` read, rows ``tables.scored[r]`` being ROI r's reconstruction
-    with ROI r masked: the sparse walk of the module docstring.  Every
-    decoder step's rows end in a NaN row, which a read outside its demand
-    reaches."""
-    p = model.params
-    num_rois = len(tables.roi_ids)
-    token = np.broadcast_to(p["mask_token"], (sum(map(len, tables.vertices)), len(xn)))
+    with ROI r masked: the sparse walk of the module docstring, one
+    :func:`~smmn.net.forward_core` on the selections of ``tables``, its
+    input the mask token at every ROI vertex, then the subject's rows,
+    and its context ``ctxn`` for each ROI."""
+    token = np.broadcast_to(model.params["mask_token"],
+                            (sum(map(len, tables.vertices)), len(xn)))
     h = np.concatenate([token, xn.T]).T  # the ROI-masked rows, then the subject's
-    encoding = True
-    for step in model.config.plan():
-        rows = tables.rows[step[1] if step[0] == "block" else step]
-        if step[0] == "block":
-            _, name, order, _, _, activate = step
-            h, _ = block_forward(model.context_of(order), h, p[f"{name}_vf"],
-                                 p[f"{name}_fv"], p[f"{name}_b"], activate, rows=rows)
-        elif step[0] == "pool":
-            h, _ = pool_max_core(h, model.hierarchy.clustering(step[1]), rows=rows)
-        elif step[0] == "unpool":
-            h = unpool_core(h, model.hierarchy.clustering(step[1]), rows=rows)
-        else:
-            # Every ROI's coarsest rows, as one (R, C, d) batch.
-            encoding = False
-            batch = h.T.take(rows.gather, axis=0).reshape(rows.mask.shape + (-1,))
-            h, _ = bottleneck_forward(model, batch.transpose(1, 2, 0),
-                                      np.repeat(ctxn[None], num_rois, axis=0))
-            h = h.transpose(2, 0, 1).reshape(rows.gather.size, -1).T
-        if not encoding:
-            h = np.concatenate([h.T, np.full((1, len(h)), np.nan)]).T
-    return h
+    ctx = np.broadcast_to(ctxn, (len(tables.roi_ids), len(ctxn)))
+    return forward_core(model, h, ctx, rows=tables.rows)[0]
 
 
-def _detect(model, subject, atlas, tables, normalized):
-    """One-subject :class:`ScoreMatrix` of the ROIs of ``tables``.
+def detect_roi(model, subject, atlas, roi_id, normalized=True):
+    """Channel-summed anomaly score of one ROI.
 
-    Non-finite features, or a non-finite score, are a DomainError naming
-    the subject.
+    Masks exactly the ROI's vertices with the learned token, reconstructs
+    them with the subject's context through the walk of
+    :func:`detect_all` at R = 1, and averages the channel-summed l1
+    residual over the ROI.  ``normalized=False`` reports the residual in
+    raw feature units instead of z-scores.
     """
+    matrix = detect_all(model, subject, atlas, normalized,
+                        roi_tables(model, atlas, [roi_id]))
+    return float(matrix.scores[0, 0].sum())
+
+
+def detect_all(model, subject, atlas, normalized=True, tables=None):
+    """One-subject :class:`ScoreMatrix` of the ROIs of ``tables``, this
+    model's and atlas's :func:`roi_tables`; by default every labeled ROI
+    (label 0 excluded).
+
+    Each ROI is scored on the subject with that ROI masked.  The encoder
+    runs once on the unmasked subject and then recomputes, per ROI, only
+    the rows the mask can change; the decoder computes only the rows the
+    ROI's score reads (see :func:`roi_tables`).  Each score equals that of
+    a standalone masked forward pass up to float64 rounding.  Non-finite
+    features, or a non-finite score, are a DomainError naming the subject.
+    """
+    if tables is None:
+        tables = roi_tables(model, atlas, atlas.roi_ids())
     who = f"subject {subject.subject_id!r}"
     model.check_features(subject.features, who)
     if not np.all(np.isfinite(subject.features)):
@@ -242,37 +245,6 @@ def _detect(model, subject, atlas, tables, normalized):
         scores=scores[None],
         roi_sizes=np.array([len(v) for v in tables.vertices]),
     )
-
-
-def detect_roi(model, subject, atlas, roi_id, normalized=True):
-    """Channel-summed anomaly score of one ROI.
-
-    Masks exactly the ROI's vertices with the learned token, reconstructs
-    them with the subject's context through the walk of
-    :func:`detect_all` at R = 1, and averages the channel-summed l1
-    residual over the ROI.  ``normalized=False`` reports the residual in
-    raw feature units instead of z-scores.
-    """
-    matrix = _detect(model, subject, atlas, roi_tables(model, atlas, [roi_id]),
-                     normalized)
-    return float(matrix.scores[0, 0].sum())
-
-
-def detect_all(model, subject, atlas, normalized=True, tables=None):
-    """One-subject :class:`ScoreMatrix` of every labeled ROI (label 0
-    excluded).
-
-    Each ROI is scored on the subject with that ROI masked.  The encoder
-    runs once on the unmasked subject and then recomputes, per ROI, only
-    the rows the mask can change; the decoder computes only the rows the
-    ROI's score reads (see :func:`roi_tables`).  Each score equals that of
-    a standalone masked forward pass up to float64 rounding.  ``tables``
-    are this model's and atlas's :func:`roi_tables` of every labeled
-    ROI; they are built when not given.
-    """
-    if tables is None:
-        tables = roi_tables(model, atlas, atlas.roi_ids())
-    return _detect(model, subject, atlas, tables, normalized)
 
 
 def cohort_scores(model, subjects, atlas, normalized=True):

@@ -29,11 +29,11 @@ vertex- or facet-major (N, B, C) row tables, so a channel mix is one
 (B, C, N) view of a C-contiguous (N, B, C) buffer, so these row tables
 cost no copy.  Every channel-mix GEMM runs on a multiple of 16 rows
 (:func:`_padded`; gather indices and buffers hold the pad rows) with a
-C-contiguous right operand.  OpenBLAS then computes a row as among any
-other multiple of 16 rows, on its SkylakeX and Haswell kernels alike: a
-row's bits do not depend on how many rows share its GEMM.  The limit: on
-SkylakeX, products below about 1e6 multiply-adds with an output width of
-2, 4 or 12 run on another kernel, which rounds otherwise.
+C-contiguous right operand, and a forward one on a multiple of 8 output
+columns, or 1 (:func:`_widened`; zero filter columns, sliced off after).
+OpenBLAS then computes a row as among any other multiple of 16 rows, on
+its SkylakeX and Haswell kernels alike: a row's bits do not depend on
+how many rows share its GEMM, whatever the channel widths.
 
 A forward core computes the (row, batch) entries of a :class:`RowSelection`,
 reading its input rows through the selection's flat gather indices:
@@ -242,6 +242,18 @@ def _padded(count):
     return -(-count // _ROWS) * _ROWS
 
 
+def _widened(mix):
+    """A forward channel mix's (..., in, out) right operand, C-contiguous,
+    with zero columns up to a multiple of 8 unless out is 1 (the caller
+    slices the output): on SkylakeX, OpenBLAS runs a product below about
+    1e6 multiply-adds whose width N > 1 has N mod 8 in 1..4 on another
+    kernel, which rounds a row otherwise than a large product does."""
+    out = mix.shape[-1]
+    wide = np.zeros(mix.shape[:-1] + (out if out == 1 else -(-out // 8) * 8,))
+    wide[..., :out] = mix
+    return wide
+
+
 def _window(table, start, count):
     """Rows ``start`` on of an (N, C) table, ``_padded(count)`` of them, as
     a view, or with zero rows past the table's end."""
@@ -330,12 +342,12 @@ def v2f_forward_core(ctx, x, coeffs, *, rows=None):
     three GEMMs on the gathered corner rows."""
     rows = rows or ctx.full_selection(x.shape[0])[0]
     fj = np.einsum("oik,jk->joi", coeffs, ctx.v2f_basis)
-    fj = np.ascontiguousarray(fj.transpose(0, 2, 1))  # (3, in, out)
+    fj = _widened(fj.transpose(0, 2, 1))  # (3, in, out)
     flat = _flat(x)
     picked = flat.take(rows.gather[0], axis=0) @ fj[0]
     picked += flat.take(rows.gather[1], axis=0) @ fj[1]
     picked += flat.take(rows.gather[2], axis=0) @ fj[2]
-    return rows.result(picked)
+    return rows.result(np.ascontiguousarray(picked[:, :coeffs.shape[0]]))
 
 
 def v2f_backward_core(ctx, coeffs, x, grad_out):
@@ -414,15 +426,15 @@ def f2v_forward_core(ctx, h, coeffs, *, rows=None):
     :class:`RowSelection` of the (V, B) table (every pair by default): per
     vertex chunk, one GEMM per filter term mixes its ring sums
     (:func:`_aggregates`), added in term order.  A row's bits do not depend
-    on the other rows, within the module docstring's limit."""
+    on the other rows (the module docstring's row rule)."""
     rows = rows or ctx.full_selection(h.shape[0])[1]
     out_ch = coeffs.shape[0]
-    mix = np.ascontiguousarray(coeffs.transpose(2, 1, 0))  # (K, in, out)
+    mix = _widened(coeffs.transpose(2, 1, 0))  # (K, in, out)
     acc = np.zeros(rows.gather.shape[1:] + (out_ch,))  # (A, W, out)
     for part, agg in _aggregates(ctx, _flat(h), rows.gather, rows.active):
         chunk = acc[part].reshape(-1, out_ch)
         for term in np.matmul(agg, mix):
-            chunk += term[:len(chunk)]
+            chunk += term[:len(chunk), :out_ch]
         del term  # and with it the chunk's (K, rows, out) products
     return rows.result(acc)
 
@@ -511,12 +523,10 @@ def pool_max_core(x, clustering, return_argmax=False, *, rows=None):
     out = members.max(axis=1)
     if not return_argmax:
         return _cols(out), None
-    # Members ascend, so writing the ids of the slots that hold the max,
-    # from the last slot to the first, leaves the lowest.
+    # Members ascend, so the first slot that holds the max is the lowest id.
+    slot = np.argmax(members == out[:, None], axis=1)
     table = clustering.table.reshape(clustering.table.shape + (1,) * (out.ndim - 1))
-    argmax = np.broadcast_to(table[:, 0], out.shape).copy()
-    for d in range(table.shape[1] - 1, -1, -1):
-        np.copyto(argmax, table[:, d], where=members[:, d] == out)
+    argmax = np.take_along_axis(table, slot[:, None], axis=1)[:, 0]
     return _cols(out), _cols(argmax)
 
 

@@ -325,7 +325,7 @@ class MMNModel:
 # Forward / backward cores (batched arrays).
 
 
-def forward_core(model, xb, ctxn, record=False):
+def forward_core(model, xb, ctxn, record=False, *, rows=None):
     """Batched network forward pass: one walk of ``model.config.plan()``.
 
     Parameters
@@ -341,20 +341,28 @@ def forward_core(model, xb, ctxn, record=False):
         a block's input and pre-activation sign (None if linear; its
         backward makes the facet features again), a pool's argmax, None
         for an unpool, and the bottleneck's (d + ctx_dim, B·C) input rows.
+    rows : list, optional
+        The plan-aligned :class:`~smmn.conv.RowSelection` list of
+        :func:`smmn.anomaly.roi_tables`, a block's being a (facet, vertex)
+        pair: ``xb`` is then compact (C_in, P) rows, each step computes its
+        selected rows only, and each from the bottleneck on appends the
+        NaN row an unselected decoder entry reads.
 
     Returns
     -------
-    (B, C_in, V) reconstruction and the tape (None unless recording).
-    Every step's output is a (B, C, N) view of a C-contiguous (N, B, C)
-    buffer (see :mod:`smmn.conv`), and so is every array of a block or
-    pool entry.
+    (B, C_in, V) reconstruction (with ``rows``, compact rows) and the tape
+    (None unless recording).  Every dense step's output is a (B, C, N)
+    view of a C-contiguous (N, B, C) buffer (see :mod:`smmn.conv`), and so
+    is every array of a block or pool entry.
     """
     cfg = model.config
     p = model.params
     tape = [] if record else None
     h = xb
-    for step in cfg.plan():
+    tail = False  # whether a step's output gets a NaN row
+    for i, step in enumerate(cfg.plan()):
         kind = step[0]
+        sel = None if rows is None else rows[i]
         if kind == "block":
             _, name, order, _, _, activate = step
             # ``saved`` holds a block's buffers until the next block returns;
@@ -363,33 +371,39 @@ def forward_core(model, xb, ctxn, record=False):
             # 13.2k against 7.9k per pass).
             h, saved = conv.block_forward(
                 model.context_of(order), h,
-                p[f"{name}_vf"], p[f"{name}_fv"], p[f"{name}_b"], activate,
+                p[f"{name}_vf"], p[f"{name}_fv"], p[f"{name}_b"], activate, rows=sel,
             )
             entry = saved
         elif kind == "pool":
             h, entry = conv.pool_max_core(
-                h, model.hierarchy.clustering(step[1]), return_argmax=record
+                h, model.hierarchy.clustering(step[1]), return_argmax=record, rows=sel
             )
         elif kind == "unpool":
-            h, entry = conv.unpool_core(h, model.hierarchy.clustering(step[1])), None
+            h = conv.unpool_core(h, model.hierarchy.clustering(step[1]), rows=sel)
+            entry = None
         else:
-            h, entry = bottleneck_forward(model, h, ctxn)
+            h, entry = bottleneck_forward(model, h, ctxn, rows=sel)
+            tail = rows is not None
+        if tail:
+            h = np.concatenate([h.T, np.full((1, len(h)), np.nan)]).T
         if record:
             tape.append(entry)
     return h, tape
 
 
-def bottleneck_forward(model, h, ctxn):
-    """The context bottleneck on (B, C, d) features: the (B, ctx_dim)
-    context joins each channel as ctx_dim more vertex rows, and one GEMM
-    projects the rows back.  Returns the output and its (d + ctx_dim, B·C)
-    input rows."""
-    rows = h.transpose(2, 0, 1)  # (d, B, C)
-    _, batch, c_l = rows.shape
+def bottleneck_forward(model, h, ctxn, rows=None):
+    """The context bottleneck on (B, C, d) features, or on the compact
+    (C, P) rows that ``rows``, a :class:`~smmn.conv.RowSelection` of the
+    whole (d, B) table, gathers: the (B, ctx_dim) context joins each
+    channel as ctx_dim more vertex rows, and one GEMM projects the rows
+    back.  Returns the output and its (d + ctx_dim, B·C) input rows."""
+    table = (h.transpose(2, 0, 1) if rows is None  # (d, B, C)
+             else h.T.take(rows.gather, axis=0).reshape(rows.mask.shape + (-1,)))
+    _, batch, c_l = table.shape
     rep = np.broadcast_to(ctxn.T[:, :, None], (model.config.ctx_dim, batch, c_l))
-    entry = np.concatenate([rows, rep]).reshape(-1, batch * c_l)
-    out = model.params["ctx_proj"].T @ entry
-    return out.reshape(-1, batch, c_l).transpose(1, 2, 0), entry
+    entry = np.concatenate([table, rep]).reshape(-1, batch * c_l)
+    out = (model.params["ctx_proj"].T @ entry).reshape(-1, batch, c_l)
+    return (out.transpose(1, 2, 0) if rows is None else rows.result(out)), entry
 
 
 def backward_core(model, tape, grad_out, mask_matrix):

@@ -268,11 +268,11 @@ def test_support_tables_hold_every_changed_encoder_row(setup, order):
                 model.params[f"{name}_fv"], model.params[f"{name}_b"], activate)[0][0]
                 for saved in tapes)
             changed = np.any(out_a != out_b, axis=0)
-            support = tables.rows[name][1].mask[:, r]
+            support = tables.rows[i][1].mask[:, r]
             assert changed.any()
             assert not np.any(changed & ~support), name
     # the first block's support is a small part of the mesh
-    assert tables.rows[encoder[0]][1].mask.mean() < 0.2
+    assert tables.rows[0][1].mask.mean() < 0.2
 
 
 def test_roi_tables_compute_no_pad_rows():
@@ -281,7 +281,8 @@ def test_roi_tables_compute_no_pad_rows():
     base row per vertex."""
     model, atlas, _ = _order3_case()
     tables = anomaly.roi_tables(model, atlas, atlas.roi_ids())
-    blocks = [pair[1] for step, pair in tables.rows.items() if isinstance(step, str)]
+    blocks = [pair[1] for step, pair in zip(model.config.plan(), tables.rows)
+              if step[0] == "block"]
     assert len(blocks) == 8
     assert sum(int(rows.mask.sum()) for rows in blocks) == 10531
     assert sum(rows.gather.shape[1] * rows.gather.shape[2] for rows in blocks) == (
@@ -314,7 +315,8 @@ def test_bit_exact_checks_pass_on_the_haswell_kernel():
     OPENBLAS_CORETYPE=Haswell, set in its environment only."""
     tests = ["tests/test_anomaly.py::test_every_roi_walk_equals_the_dense_masked_pass",
              "tests/test_anomaly.py::test_masking_locality_bit_exact",
-             "tests/test_conv.py::test_f2v_vertex_chunks_match_one_chunk"]
+             "tests/test_conv.py::test_f2v_vertex_chunks_match_one_chunk",
+             "tests/test_conv.py::test_forward_rows_match_the_full_call_at_any_output_width"]
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                            *tests], cwd=Path(__file__).resolve().parents[1],
                           env=dict(os.environ, OPENBLAS_CORETYPE="Haswell"),

@@ -37,6 +37,7 @@ def test_tracer_finds_every_target():
 def test_tracer_times_the_sparse_detection_walk():
     # The tracer's flop estimators take the cores' positional arguments
     # only; the row selection goes by keyword and must pass through.
+    # Detection runs the network's one forward walk, net.forward_core.
     model = net.MMNModel(net.ModelConfig(input_order=2, channels=(8, 12)))
     atlas = synth.synthetic_atlas(mesh.icosphere(2), 14)
     subject = net.Sample(np.random.default_rng(0).standard_normal((1, 162)),
@@ -50,7 +51,7 @@ def test_tracer_times_the_sparse_detection_walk():
         tracer.uninstall()
     np.testing.assert_array_equal(traced.scores, untraced.scores)
     names = {span[1] for span in tracer.spans}
-    assert {"anomaly.detect_all", "conv.f2v_fwd.l0", "conv.f2v_fwd.l1",
+    assert {"anomaly.detect_all", "net.forward", "conv.f2v_fwd.l0", "conv.f2v_fwd.l1",
             "conv.v2f_fwd.l0", "conv.v2f_fwd.l1"} <= names
     assert tracer.counts["anomaly.roi_passes"] == 14
 

@@ -669,6 +669,30 @@ def test_f2v_entry_bits_do_not_depend_on_the_other_entries(batch, surface,
     np.testing.assert_array_equal(picked[0][sel], conv.f2v_forward_core(ctx, h, c)[sel])
 
 
+@pytest.mark.parametrize("in_ch, out_ch", [(16, 12), (32, 20)])
+def test_forward_rows_match_the_full_call_at_any_output_width(in_ch, out_ch):
+    # At order 5 and B = 1, a 300-facet selection's vertex2facet products
+    # are small and the full call's are large.  Unpadded, OpenBLAS rounds
+    # the two otherwise at an output width of 12 or 20 on its SkylakeX
+    # kernel; padded to a multiple of 8 columns, the rows agree to the bit.
+    ctx = conv.conv_context(mesh.icosphere(5), 3)
+    rng = np.random.default_rng(23)
+    k = spharm.num_coefficients(3)
+    x = rng.standard_normal((1, in_ch, ctx.num_vertices))
+    h = rng.standard_normal((1, in_ch, ctx.num_facets))
+    vf, fv = (rng.standard_normal((out_ch, in_ch, k)) for _ in range(2))
+    facets = np.zeros((ctx.num_facets, 1), bool)
+    facets[rng.choice(ctx.num_facets, 300, replace=False)] = True
+    vertices = np.zeros((ctx.num_vertices, 1), bool)
+    vertices[rng.choice(ctx.num_vertices, 300, replace=False)] = True
+    facet_rows, vertex_rows = ctx.select(facets, vertices)
+    for core, arg, coeffs, rows in [(conv.v2f_forward_core, x, vf, facet_rows),
+                                    (conv.f2v_forward_core, h, fv, vertex_rows)]:
+        picked = core(ctx, arg, coeffs, rows=rows)
+        np.testing.assert_array_equal(picked, core(ctx, arg, coeffs)[0][:, rows.mask[:, 0]],
+                                      err_msg=core.__name__)
+
+
 @pytest.mark.parametrize("surface", ["icosphere", "hull"])
 def test_backward_folds_sum_in_their_documented_order(surface, request):
     # Each backward neighbourhood sum equals, to the bit, a loop that adds
