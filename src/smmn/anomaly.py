@@ -26,9 +26,8 @@ that ROI's score reads through the steps after it, and a read outside
 the demand reaches a NaN row, so it makes the score non-finite and stops
 detection.  :func:`roi_tables` builds the supports, the demands and each
 step's gather indices, once per cohort.  Scores equal those of one
-standalone masked forward pass per ROI up to float64 rounding, and
-exactly for a single ROI (:func:`detect_roi`), whatever the order and
-the channel widths (see :mod:`smmn.conv`).
+standalone masked forward pass per ROI, to the bit, whatever the order
+and the channel widths (see :mod:`smmn.conv`).
 
 A subject is the record training takes: detection reads only its
 ``subject_id``, ``features`` and ``context``, so a :class:`~smmn.net.Sample`
@@ -217,8 +216,8 @@ def detect_all(model, subject, atlas, normalized=True, tables=None):
     runs once on the unmasked subject and then recomputes, per ROI, only
     the rows the mask can change; the decoder computes only the rows the
     ROI's score reads (see :func:`roi_tables`).  Each score equals that of
-    a standalone masked forward pass up to float64 rounding.  Non-finite
-    features, or a non-finite score, are a DomainError naming the subject.
+    a standalone masked forward pass, to the bit.  Non-finite features, or
+    a non-finite score, are a DomainError naming the subject.
     """
     if tables is None:
         tables = roi_tables(model, atlas, atlas.roi_ids())

@@ -27,13 +27,13 @@ The cores take and return (B, C, N) arrays but compute on their
 vertex- or facet-major (N, B, C) row tables, so a channel mix is one
 2-D GEMM on (N·B, C) rows.  The network carries every feature as a
 (B, C, N) view of a C-contiguous (N, B, C) buffer, so these row tables
-cost no copy.  Every channel-mix GEMM runs on a multiple of 16 rows
-(:func:`_padded`; gather indices and buffers hold the pad rows) with a
-C-contiguous right operand, and a forward one on a multiple of 8 output
-columns, or 1 (:func:`_widened`; zero filter columns, sliced off after).
-OpenBLAS then computes a row as among any other multiple of 16 rows, on
-its SkylakeX and Haswell kernels alike: a row's bits do not depend on
-how many rows share its GEMM, whatever the channel widths.
+cost no copy.  Every channel-mix GEMM, forward and backward, is one
+:func:`_mix`: it runs on a multiple of 16 rows (zero rows pad a ragged
+block) with a C-contiguous right operand of a multiple of 8 columns, or
+1 (zero columns, sliced off after).  OpenBLAS then computes a row as
+among any other multiple of 16 rows, on its SkylakeX and Haswell kernels
+alike: a row's bits do not depend on how many rows share its GEMM or
+how a core is chunked, whatever the channel widths.
 
 A forward core computes the (row, batch) entries of a :class:`RowSelection`,
 reading its input rows through the selection's flat gather indices:
@@ -189,7 +189,7 @@ class ConvContext:
         dense = reads is None
         if dense:
             reads = np.arange(self.num_vertices * batch).reshape(-1, batch)
-        f, b = (np.pad(i, (0, _padded(len(i)) - len(i))) for i in entries(facets, base))
+        f, b = entries(facets, base)
         facet_rows = RowSelection(facets, reads[self.corners[:, f], b], base,
                                   full=dense and facets.all())
         slot_reads = (np.arange(self.num_facets * batch).reshape(-1, batch)
@@ -237,29 +237,34 @@ def _cols(rows):
 
 
 def _padded(count):
-    """The row count of a channel-mix GEMM on ``count`` rows: the next
-    multiple of _ROWS, the module docstring's row rule."""
+    """``count`` rounded up to a multiple of _ROWS, the row count of a
+    :func:`_mix` on ``count`` rows."""
     return -(-count // _ROWS) * _ROWS
 
 
-def _widened(mix):
-    """A forward channel mix's (..., in, out) right operand, C-contiguous,
-    with zero columns up to a multiple of 8 unless out is 1 (the caller
-    slices the output): on SkylakeX, OpenBLAS runs a product below about
-    1e6 multiply-adds whose width N > 1 has N mod 8 in 1..4 on another
-    kernel, which rounds a row otherwise than a large product does."""
-    out = mix.shape[-1]
-    wide = np.zeros(mix.shape[:-1] + (out if out == 1 else -(-out // 8) * 8,))
-    wide[..., :out] = mix
-    return wide
-
-
-def _window(table, start, count):
-    """Rows ``start`` on of an (N, C) table, ``_padded(count)`` of them, as
-    a view, or with zero rows past the table's end."""
-    rows = _padded(count)
-    block = table[start:start + rows]
-    return block if len(block) == rows else np.pad(block, ((0, rows - len(block)), (0, 0)))
+def _mix(rows, mix, out=None, take=None):
+    """``rows @ mix`` for an (..., M, in) row block, or the M rows ``take``
+    of an (N, in) table, and an (..., in, W) mix, under the module
+    docstring's row rule: zero rows pad the block to ``_padded(M)`` rows
+    (a gather fills the block in place), and the mix is made C-contiguous,
+    with zero columns up to a multiple of 8 unless W is 1 (on SkylakeX,
+    OpenBLAS runs a product below about 1e6 multiply-adds whose width
+    W > 1 has W mod 8 in 1..4 on another kernel, which rounds a row
+    otherwise).  Returns the first M rows and W columns; ``out``, of the
+    padded product's shape, takes the product unless columns are added."""
+    count, width = rows.shape[-2] if take is None else len(take), mix.shape[-1]
+    if count % _ROWS or take is not None:
+        block = np.zeros(rows.shape[:-2] + (_padded(count), rows.shape[-1]))
+        if take is None:
+            block[..., :count, :] = rows
+        else:  # the ids are in range
+            np.take(rows, take, axis=0, out=block[:count], mode="clip")
+        rows = block
+    if width > 1 and width % 8:
+        wide = np.zeros(mix.shape[:-1] + (-(-width // 8) * 8,))
+        wide[..., :width] = mix
+        mix, out = wide, None
+    return np.matmul(rows, np.ascontiguousarray(mix), out=out)[..., :count, :width]
 
 
 def _flat(x):
@@ -302,8 +307,7 @@ class RowSelection:
     entries equal.  ``full`` says the rows are the dense (N, B) table.
 
     ``gather`` holds the flat input rows each output row reads: (3, P)
-    facet corners for vertex2facet, P rounded up by :func:`_padded` (a pad
-    reads facet 0 at batch id 0), (P, D) cluster members with -1 pads
+    facet corners for vertex2facet, (P, D) cluster members with -1 pads
     for a pool, (P,) parents for an unpool.  For facet2vertex it is (D, A,
     W), ring slot d of vertex ``active[a]`` at W batch ids: (D, V, B) for
     every vertex at every batch id (``active`` None), else (D, P, 1), one
@@ -327,11 +331,9 @@ class RowSelection:
         return np.hstack([pos, tail]) if self.base else pos
 
     def result(self, picked):
-        """A core's output from its computed rows, which lead ``picked``
-        (pad rows may follow): the (B, C, N) table for the full selection,
-        else the (C, P) rows of :func:`entries`."""
-        size = np.count_nonzero(self.mask) + self.base * len(self.mask)
-        picked = picked.reshape(-1, picked.shape[-1])[:size]
+        """A core's output from its computed rows ``picked``: the (B, C, N)
+        table for the full selection, else the (C, P) rows of
+        :func:`entries`."""
         return _cols(picked.reshape((self.mask.shape if self.full else (-1,))
                                     + picked.shape[-1:]))
 
@@ -341,13 +343,12 @@ def v2f_forward_core(ctx, x, coeffs, *, rows=None):
     :class:`RowSelection` of the (F, B) table (every pair by default):
     three GEMMs on the gathered corner rows."""
     rows = rows or ctx.full_selection(x.shape[0])[0]
-    fj = np.einsum("oik,jk->joi", coeffs, ctx.v2f_basis)
-    fj = _widened(fj.transpose(0, 2, 1))  # (3, in, out)
+    fj = np.einsum("oik,jk->joi", coeffs, ctx.v2f_basis).transpose(0, 2, 1)  # (3, in, out)
     flat = _flat(x)
-    picked = flat.take(rows.gather[0], axis=0) @ fj[0]
-    picked += flat.take(rows.gather[1], axis=0) @ fj[1]
-    picked += flat.take(rows.gather[2], axis=0) @ fj[2]
-    return rows.result(np.ascontiguousarray(picked[:, :coeffs.shape[0]]))
+    picked = _mix(flat, fj[0], take=rows.gather[0])
+    picked += _mix(flat, fj[1], take=rows.gather[1])
+    picked += _mix(flat, fj[2], take=rows.gather[2])
+    return rows.result(np.ascontiguousarray(picked))
 
 
 def v2f_backward_core(ctx, coeffs, x, grad_out):
@@ -360,23 +361,22 @@ def v2f_backward_core(ctx, coeffs, x, grad_out):
     batch, out_ch, num_f = grad_out.shape
     flat, in_ch = _flat(x), x.shape[1]
     dy = np.ascontiguousarray(_flat(grad_out))  # (F·B, out)
-    gather = ctx.full_selection(batch)[0].gather  # (3, F·B + pad)
+    gather = ctx.full_selection(batch)[0].gather  # (3, F·B)
     grad_x = np.zeros((ctx.num_vertices, batch, in_ch))
     grad_fj = np.zeros((out_ch, 3 * in_ch))  # dyᵀ [x_0 x_1 x_2]
-    # A multiple of _ROWS facets, so no chunk but the last has pad rows.
+    # A multiple of _ROWS facets, so _mix pads the last chunk's rows only.
     step = _ROWS * max(1, _V2F_CHUNK_BYTES // (_ROWS * 24 * batch * in_ch))
     shares = np.empty((min(step, num_f), 3, batch * in_ch))  # row 3f + j: corner j's
     corners = np.empty((min(step, num_f) * batch, 3, in_ch))
     for lo in range(0, num_f, step):
         count = min(step, num_f - lo)
         part = slice(lo * batch, (lo + count) * batch)
-        dyc = _window(dy, part.start, count * batch)
         for j in range(3):
-            shares[:count, j] = (dyc @ fj[j])[:count * batch].reshape(count, -1)
+            shares[:count, j] = _mix(dy[part], fj[j]).reshape(count, -1)
         _fold(grad_x, ctx.vertex_corners, slice(3 * lo, 3 * (lo + count)), shares[:count])
         picked = np.take(flat, gather[:, part].T, axis=0, out=corners[:count * batch],
                          mode="clip")  # the gather's ids are in range
-        grad_fj += dyc[:count * batch].T @ picked.reshape(count * batch, -1)
+        grad_fj += dy[part].T @ picked.reshape(count * batch, -1)
     grad_coeffs = np.einsum("oji,jk->oik", grad_fj.reshape(out_ch, 3, in_ch), ctx.v2f_basis)
     return _cols(grad_x), grad_coeffs
 
@@ -405,7 +405,8 @@ def _aggregates(ctx, flat, gather, active):
     """Per vertex chunk of a (D, A, W) facet2vertex ``gather``, its slice
     and the (K, rows·W, in) sums a[k, a] = sum_d slot_basis[d, a, k]
     flat[gather[d, a]] (``active`` as in :class:`RowSelection`), then pad
-    rows, in one reused buffer of about _F2V_AGGREGATE_BYTES."""
+    rows, so that a :func:`_mix` of them copies none, in one reused buffer
+    of about _F2V_AGGREGATE_BYTES."""
     slots, count, width = gather.shape
     k, in_ch = ctx.slot_basis.shape[2], flat.shape[1]
     step = _f2v_step(ctx, width * in_ch)
@@ -429,12 +430,12 @@ def f2v_forward_core(ctx, h, coeffs, *, rows=None):
     on the other rows (the module docstring's row rule)."""
     rows = rows or ctx.full_selection(h.shape[0])[1]
     out_ch = coeffs.shape[0]
-    mix = _widened(coeffs.transpose(2, 1, 0))  # (K, in, out)
+    mix = np.ascontiguousarray(coeffs.transpose(2, 1, 0))  # (K, in, out), once for all chunks
     acc = np.zeros(rows.gather.shape[1:] + (out_ch,))  # (A, W, out)
     for part, agg in _aggregates(ctx, _flat(h), rows.gather, rows.active):
         chunk = acc[part].reshape(-1, out_ch)
-        for term in np.matmul(agg, mix):
-            chunk += term[:len(chunk), :out_ch]
+        for term in _mix(agg, mix):
+            chunk += term[:len(chunk)]
         del term  # and with it the chunk's (K, rows, out) products
     return rows.result(acc)
 
@@ -455,16 +456,15 @@ def f2v_backward_core(ctx, coeffs, h, grad_out):
     grad_h = np.zeros((ctx.num_facets, batch, c_in))
     shares = np.empty((min(_f2v_step(ctx, batch * c_in), ctx.num_vertices), slots,
                        batch * c_in))  # (rows, D, B·in)
-    mix = np.ascontiguousarray(coeffs.transpose(2, 0, 1))  # (K, out, in)
+    mix = np.ascontiguousarray(coeffs.transpose(2, 0, 1))  # (K, out, in), once for all chunks
     grad_coeffs = np.zeros((k, out_ch, c_in))
     for part, agg in _aggregates(ctx, flat, gather, None):
-        count = (part.stop - part.start) * batch
-        window = _window(dv, part.start * batch, count)  # (rows·B + pad, out)
-        grad_coeffs += np.matmul(window[:count].T, agg[:, :count])
-        np.matmul(window, mix, out=agg)  # the gradient, in place
+        dvc = dv[part.start * batch:part.stop * batch]  # (rows·B, out)
+        grad_coeffs += np.matmul(dvc.T, agg[:, :len(dvc)])
+        grad = _mix(dvc, mix, out=agg)  # in place unless in needs zero columns
         chunk = shares[:part.stop - part.start]
         np.matmul(ctx.slot_basis[:, part].transpose(1, 0, 2),
-                  agg[:, :count].reshape(k, -1, batch * c_in).transpose(1, 0, 2), out=chunk)
+                  grad.reshape(k, -1, batch * c_in).transpose(1, 0, 2), out=chunk)
         _fold(grad_h, ctx.facet_slots, slice(slots * part.start, slots * part.stop), chunk)
     return _cols(grad_h), grad_coeffs.transpose(1, 2, 0)
 

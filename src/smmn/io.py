@@ -205,6 +205,16 @@ def write_fs_surface(path, mesh, comment="created by smmn", radius=1.0):
 # Atlas CSV (vertex_index,label_id) with optional label-table sidecar.
 
 
+def _table_rows(cur, header, what):
+    """(byte offset, stripped text) of each non-blank line of a CSV table
+    after its ``header`` line; a file whose line 0 is not the header, an
+    empty one too, is a ParseError at offset 0."""
+    lines = cur.lines() or [(0, "")]
+    if lines[0][1].strip() != header:
+        raise cur.error(f"unexpected {what} header {lines[0][1].strip()!r}", 0)
+    return [(offset, line.strip()) for offset, line in lines[1:] if line.strip()]
+
+
 def read_atlas_csv(path, mesh, label_table=None):
     """Per-vertex ROI labels; unlisted vertices default to 0 (unknown).
 
@@ -215,28 +225,23 @@ def read_atlas_csv(path, mesh, label_table=None):
     labels = np.zeros(mesh.num_vertices, dtype=np.int64)
     seen = np.zeros(mesh.num_vertices, dtype=bool)
     cur = Cursor(path)
-    for lineno, (offset, line) in enumerate(cur.lines()):
-        text = line.strip()
-        if lineno == 0:
-            if text != "vertex_index,label_id":
-                raise cur.error(f"unexpected atlas header {text!r}", 0)
-        elif text:
-            try:
-                v_str, l_str = text.split(",")
-                v, lab = int(v_str), np.int64(int(l_str))
-            except (ValueError, OverflowError):
-                raise cur.error(f"malformed atlas row {text!r}", offset) from None
-            if v < 0 or v >= mesh.num_vertices:
-                raise cur.error(
-                    f"vertex index {v} outside mesh (V={mesh.num_vertices})", offset
-                )
-            if seen[v]:
-                warnings.warn(
-                    f"{path}: duplicate atlas row for vertex {v}; keeping the last",
-                    stacklevel=2,
-                )
-            labels[v] = lab
-            seen[v] = True
+    for offset, text in _table_rows(cur, "vertex_index,label_id", "atlas"):
+        try:
+            v_str, l_str = text.split(",")
+            v, lab = int(v_str), np.int64(int(l_str))
+        except (ValueError, OverflowError):
+            raise cur.error(f"malformed atlas row {text!r}", offset) from None
+        if v < 0 or v >= mesh.num_vertices:
+            raise cur.error(
+                f"vertex index {v} outside mesh (V={mesh.num_vertices})", offset
+            )
+        if seen[v]:
+            warnings.warn(
+                f"{path}: duplicate atlas row for vertex {v}; keeping the last",
+                stacklevel=2,
+            )
+        labels[v] = lab
+        seen[v] = True
     names = dict(label_table) if label_table else {}
     return AtlasLabels(labels=labels, names=names)
 
@@ -252,17 +257,12 @@ def read_label_table(path):
     """Sidecar `label_id,name` table."""
     table = {}
     cur = Cursor(path)
-    for lineno, (offset, line) in enumerate(cur.lines()):
-        text = line.strip()
-        if lineno == 0:
-            if text != "label_id,name":
-                raise cur.error(f"unexpected label table header {text!r}", 0)
-        elif text:
-            try:
-                l_str, name = text.split(",", 1)
-                table[int(l_str)] = name
-            except ValueError:
-                raise cur.error(f"malformed label row {text!r}", offset) from None
+    for offset, text in _table_rows(cur, "label_id,name", "label table"):
+        try:
+            l_str, name = text.split(",", 1)
+            table[int(l_str)] = name
+        except ValueError:
+            raise cur.error(f"malformed label row {text!r}", offset) from None
     return table
 
 

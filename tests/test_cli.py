@@ -741,5 +741,17 @@ def test_detect_seed_flag_reproducible(pipeline, tmp_path):
     ).read_bytes()
 
 
+def test_detect_with_an_empty_atlas_exits_2(pipeline, tmp_path, capsys):
+    # A 0-byte atlas has no header line: a ParseError naming the file.
+    atlas = tmp_path / "empty.csv"
+    atlas.write_bytes(b"")
+    err = _exit_2_without_traceback(
+        capsys, "detect", "--model", str(pipeline / "run" / "model.smmn"),
+        "--manifest", str(pipeline / "testset" / "manifest.json"),
+        "--atlas", str(atlas), "--out", str(tmp_path / "scores"),
+    )
+    assert str(atlas) in err and "byte offset 0" in err
+
+
 def test_help_exits_zero():
     assert run("--help") == 0

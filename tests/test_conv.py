@@ -693,6 +693,32 @@ def test_forward_rows_match_the_full_call_at_any_output_width(in_ch, out_ch):
                                       err_msg=core.__name__)
 
 
+def test_backward_input_gradients_do_not_depend_on_the_chunk(monkeypatch):
+    # At order 4, B = 8 and 4 -> 16 channels, each backward's gradient
+    # products, dy F_j and dy C_k, have 4 output columns.  In one chunk
+    # they are large and in small chunks small; unpadded, OpenBLAS rounds
+    # the two otherwise on its SkylakeX kernel.  Padded to a multiple of 8
+    # columns, the input gradients agree to the bit.
+    ctx = conv.conv_context(mesh.icosphere(4), 3)
+    rng = np.random.default_rng(24)
+    batch, in_ch, out_ch, k = 8, 4, 16, spharm.num_coefficients(3)
+    c = rng.standard_normal((out_ch, in_ch, k))
+    x = rng.standard_normal((batch, in_ch, ctx.num_vertices))
+    h = rng.standard_normal((batch, in_ch, ctx.num_facets))
+    dy = rng.standard_normal((batch, out_ch, ctx.num_facets))
+    dv = rng.standard_normal((batch, out_ch, ctx.num_vertices))
+    for name, small, call in [
+            ("_V2F_CHUNK_BYTES", 2**14, lambda: conv.v2f_backward_core(ctx, c, x, dy)),
+            ("_F2V_AGGREGATE_BYTES", 8 * k * batch * in_ch * 48,
+             lambda: conv.f2v_backward_core(ctx, c, h, dv))]:
+        grads = []
+        for budget in (2**40, small):
+            with monkeypatch.context() as patch:
+                patch.setattr(conv, name, budget)
+                grads.append(call()[0])
+        np.testing.assert_array_equal(grads[0], grads[1], err_msg=name)
+
+
 @pytest.mark.parametrize("surface", ["icosphere", "hull"])
 def test_backward_folds_sum_in_their_documented_order(surface, request):
     # Each backward neighbourhood sum equals, to the bit, a loop that adds
@@ -711,7 +737,7 @@ def test_backward_folds_sum_in_their_documented_order(surface, request):
     y = rng.standard_normal((batch, out_ch, f))
     fj = np.einsum("oik,jk->joi", c, ctx.v2f_basis)
     dy = np.moveaxis(y, -1, 0).reshape(-1, out_ch)
-    shares = np.stack([(dy @ fj[j]).reshape(f, batch, in_ch) for j in range(3)], 1)
+    shares = np.stack([conv._mix(dy, fj[j]).reshape(f, batch, in_ch) for j in range(3)], 1)
     expected = np.zeros((v, batch, in_ch))
     for corner, share in enumerate(shares.reshape(3 * f, batch, in_ch)):
         expected[m.facets.flat[corner]] += share

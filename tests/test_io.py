@@ -246,6 +246,17 @@ def test_atlas_vertex_out_of_range(tmp_path):
     assert err.value.offset == len("vertex_index,label_id\n")
 
 
+def test_empty_atlas_and_label_table_are_parse_errors(tmp_path):
+    # A 0-byte file has no header line, which line 0 must be.
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"")
+    for read in (lambda: io.read_atlas_csv(path, mesh.icosphere(0)),
+                 lambda: io.read_label_table(path)):
+        with pytest.raises(ParseError, match="header") as err:
+            read()
+        assert (err.value.offset, err.value.path) == (0, str(path))
+
+
 def test_atlas_label_beyond_int64_is_parse_error(tmp_path):
     path = tmp_path / "huge.csv"
     path.write_text("vertex_index,label_id\n0,1\n1,99999999999999999999\n")
