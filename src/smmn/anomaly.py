@@ -29,12 +29,11 @@ step's gather indices, once per cohort.  Scores equal those of one
 standalone masked forward pass per ROI, to the bit, whatever the order
 and the channel widths (see :mod:`smmn.conv`).
 
-A subject is the record training takes: detection reads only its
-``subject_id``, ``features`` and ``context``, so a :class:`~smmn.net.Sample`
-scores as is.  Its features pass :meth:`~smmn.net.MMNModel.check_features`,
-and every score table is labeled with the atlas's hemisphere.  Non-finite
-features or scores are a :class:`~smmn.errors.DomainError` naming the
-subject.
+A subject is a :class:`~smmn.net.Sample`, the record training takes;
+detection reads its ``subject_id``, ``features`` and ``context``.  Its
+features pass :meth:`~smmn.net.MMNModel.check_features`, and every score
+table is labeled with the atlas's hemisphere.  Non-finite features or
+scores are a :class:`~smmn.errors.DomainError` naming the subject.
 
 Scores are not confined to an anomalous ROI.  Each masked ROI is
 reconstructed from the unmasked rest of the surface, and while any other
@@ -56,20 +55,7 @@ import numpy as np
 from . import conv
 from .errors import DomainError, ShapeError, UsageError
 from .io import Cursor
-from .net import ContextVector, forward_core
-
-
-@dataclass
-class SubjectRecord:
-    """A subject to score: raw (C, V) features and phenotype.
-
-    Detection reads only these three fields, so a :class:`~smmn.net.Sample`
-    scores as is.
-    """
-
-    subject_id: str
-    features: np.ndarray
-    context: ContextVector
+from .net import forward_core
 
 
 @dataclass

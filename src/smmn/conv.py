@@ -37,24 +37,26 @@ how a core is chunked, whatever the channel widths.
 
 A forward core computes the (row, batch) entries of a :class:`RowSelection`,
 reading its input rows through the selection's flat gather indices:
-vertex2facet as three GEMMs on the facets' corner rows, facet2vertex as each
-entry's filtered ring sum of its vertex's facet rows, a pool as the max of
-its members' rows, an unpool as its parent's row.  A dense call is the
-identity case: the context's cached full selection reads row n * B + b of
-the (N, B, C) table and writes that table.  ROI-masked detection
-(:mod:`smmn.anomaly`) runs partial selections on compact tables: a core
-takes and gives the (C, P) rows of the selected entries only, followed, in
-the encoder, by one base row per table row, which every unselected entry
-reads, and computes no other row.  facet2vertex, forward and backward, sums
-each filter term over the ring first and mixes channels after, the
-patch-operator form of MoNet (Monti et al., 2017), over vertex chunks of a
-fixed byte budget, not the mesh.  A slot past a vertex's degree reads its
-first facet under a zero basis.  The dense pool's -1 pads read an appended
--inf row.  The convolution backwards work in chunks too, vertex2facet's over
-facets: each chunk's shares are added into the input gradient in place, in
-the order of a cached sparse 0/1 matrix's columns (a vertex's corners in
-ascending id, a facet's corners in ascending vertex id), so no full-mesh
-share buffer is made; an unpool's backward folds its clusters so too.
+vertex2facet mixes its input rows by each corner's filter (three GEMMs)
+and adds, per entry, the three products' rows at its facet's corners in
+corner order; facet2vertex takes each entry's filtered ring sum of its
+vertex's facet rows, a pool the max of its members' rows, an unpool its
+parent's row.  A dense call is the identity case: the context's cached full
+selection reads row n * B + b of the (N, B, C) table and writes that table.
+ROI-masked detection (:mod:`smmn.anomaly`) runs partial selections on
+compact tables: a core takes and gives the (C, P) rows of the selected
+entries only, followed, in the encoder, by one base row per table row,
+which every unselected entry reads, and computes no other output row.
+facet2vertex, forward and backward, sums each filter term over the ring
+first and mixes channels after, the patch-operator form of MoNet (Monti et
+al., 2017), over vertex chunks of a fixed byte budget, not the mesh.  A slot
+past a vertex's degree reads its first facet under a zero basis.  The dense
+pool's -1 pads read an appended -inf row.  The convolution backwards work in
+chunks too, vertex2facet's over facets: each chunk's shares are added into
+the input gradient in place, in the order of a cached sparse 0/1 matrix's
+columns (a vertex's corners in ascending id, a facet's corners in ascending
+vertex id), so no full-mesh share buffer is made; an unpool's backward folds
+its clusters so too.
 """
 
 from dataclasses import dataclass
@@ -242,23 +244,19 @@ def _padded(count):
     return -(-count // _ROWS) * _ROWS
 
 
-def _mix(rows, mix, out=None, take=None):
-    """``rows @ mix`` for an (..., M, in) row block, or the M rows ``take``
-    of an (N, in) table, and an (..., in, W) mix, under the module
-    docstring's row rule: zero rows pad the block to ``_padded(M)`` rows
-    (a gather fills the block in place), and the mix is made C-contiguous,
-    with zero columns up to a multiple of 8 unless W is 1 (on SkylakeX,
-    OpenBLAS runs a product below about 1e6 multiply-adds whose width
-    W > 1 has W mod 8 in 1..4 on another kernel, which rounds a row
-    otherwise).  Returns the first M rows and W columns; ``out``, of the
-    padded product's shape, takes the product unless columns are added."""
-    count, width = rows.shape[-2] if take is None else len(take), mix.shape[-1]
-    if count % _ROWS or take is not None:
+def _mix(rows, mix, out=None):
+    """``rows @ mix`` for an (..., M, in) row block and an (..., in, W) mix,
+    under the module docstring's row rule: zero rows pad the block to
+    ``_padded(M)`` rows, and the mix is made C-contiguous, with zero
+    columns up to a multiple of 8 unless W is 1 (on SkylakeX, OpenBLAS
+    runs a product below about 1e6 multiply-adds whose width W > 1 has
+    W mod 8 in 1..4 on another kernel, which rounds a row otherwise).
+    Returns the first M rows and W columns; ``out``, of the padded
+    product's shape, takes the product unless columns are added."""
+    count, width = rows.shape[-2], mix.shape[-1]
+    if count % _ROWS:
         block = np.zeros(rows.shape[:-2] + (_padded(count), rows.shape[-1]))
-        if take is None:
-            block[..., :count, :] = rows
-        else:  # the ids are in range
-            np.take(rows, take, axis=0, out=block[:count], mode="clip")
+        block[..., :count, :] = rows
         rows = block
     if width > 1 and width % 8:
         wide = np.zeros(mix.shape[:-1] + (-(-width // 8) * 8,))
@@ -341,14 +339,15 @@ class RowSelection:
 def v2f_forward_core(ctx, x, coeffs, *, rows=None):
     """Facet features at the (facet, batch) pairs of ``rows``, a
     :class:`RowSelection` of the (F, B) table (every pair by default):
-    three GEMMs on the gathered corner rows."""
+    three GEMMs on the input's own rows, each product gathered at its
+    corner and added in corner order."""
     rows = rows or ctx.full_selection(x.shape[0])[0]
     fj = np.einsum("oik,jk->joi", coeffs, ctx.v2f_basis).transpose(0, 2, 1)  # (3, in, out)
     flat = _flat(x)
-    picked = _mix(flat, fj[0], take=rows.gather[0])
-    picked += _mix(flat, fj[1], take=rows.gather[1])
-    picked += _mix(flat, fj[2], take=rows.gather[2])
-    return rows.result(np.ascontiguousarray(picked))
+    picked = _mix(flat, fj[0]).take(rows.gather[0], axis=0)
+    picked += _mix(flat, fj[1]).take(rows.gather[1], axis=0)
+    picked += _mix(flat, fj[2]).take(rows.gather[2], axis=0)
+    return rows.result(picked)
 
 
 def v2f_backward_core(ctx, coeffs, x, grad_out):

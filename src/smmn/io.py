@@ -382,8 +382,8 @@ def load_manifest(path, check_files=True):
 
     The file must be UTF-8 JSON; a decoding or JSON error is a ParseError
     at its byte offset, and an error in the document's fields one at
-    offset 0, as is a ``sex``, ``group`` or ``split`` outside the values
-    docs/formats.md lists.
+    offset 0, as is a ``version`` other than 1, a repeated channel name or a
+    ``sex``, ``group`` or ``split`` outside the values docs/formats.md lists.
     """
     cur = Cursor(path)
     try:
@@ -410,9 +410,14 @@ def load_manifest(path, check_files=True):
                             "or not finite", 0)
         return value
 
+    if field(doc, "version", int, "manifest") != 1:
+        raise cur.error(f"unsupported manifest version {doc['version']}", 0)
     channel_names = field(doc, "channel_names", list, "manifest")
     if not all(isinstance(c, str) for c in channel_names):
         raise cur.error("manifest: 'channel_names' must be strings", 0)
+    repeated = [c for i, c in enumerate(channel_names) if c in channel_names[:i]]
+    if repeated:
+        raise cur.error(f"manifest: 'channel_names' names {repeated[0]!r} twice", 0)
     root = os.path.dirname(os.path.abspath(path))
     subjects = []
     seen = set()

@@ -56,6 +56,9 @@ class SynthConfig:
         n = len(self.channel_names)
         if n == 0:
             raise ConfigurationError("channel_names must name at least one channel")
+        repeated = [c for i, c in enumerate(self.channel_names) if c in self.channel_names[:i]]
+        if repeated:
+            raise ConfigurationError(f"channel_names names {repeated[0]!r} twice")
         for name in ("age_slope", "noise_std"):
             values = tuple(float(a) for a in np.atleast_1d(getattr(self, name)))
             if len(values) not in (1, n):

@@ -98,7 +98,7 @@ def cohort(trained):
     fields, ages, sexes, groups, _ = synth.generate_fields(cfg)
     atlas = synth.synthetic_atlas(mesh.icosphere(3), N_ROIS)
     records = [
-        anomaly.SubjectRecord(
+        net.Sample(
             subject_id=f"c{i:03d}",
             features=fields[i],
             context=net.ContextVector(float(ages[i]), float(sexes[i])),
@@ -312,9 +312,8 @@ def test_acceptance_5_anomaly_recovery(trained, cohort):
     ctxn = model.normalize_context(rec.context)
     xhat0, _ = net.forward_core(model, xb[None], ctxn[None])
 
-    perturbed = anomaly.SubjectRecord(
-        "pert", rec.features.copy(), rec.context
-    )
+    perturbed = dataclasses.replace(rec, subject_id="pert",
+                                    features=rec.features.copy())
     perturbed.features[:, verts] += 1.75
     xn1 = model.normalize(perturbed.features)
     xb1 = xn1.copy()
@@ -404,7 +403,7 @@ def test_acceptance_7_end_to_end(trained, cohort):
         )
         fields, ages, sexes, groups, _ = synth.generate_fields(cfg)
         records = [
-            anomaly.SubjectRecord(
+            net.Sample(
                 subject_id=f"n{rep}_{i}",
                 features=fields[i],
                 context=net.ContextVector(float(ages[i]), float(sexes[i])),

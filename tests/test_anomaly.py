@@ -79,7 +79,7 @@ def test_masking_locality_bit_exact(setup):
 
     perturbed = rec.features.copy()
     perturbed[:, verts] += 3.21
-    rec2 = anomaly.SubjectRecord("p", perturbed, rec.context)
+    rec2 = net.Sample(perturbed, rec.context, "p")
     xn2 = model.normalize(rec2.features)
     xb2 = xn2.copy()
     xb2[:, verts] = model.params["mask_token"][:, None]
@@ -104,7 +104,7 @@ def test_out_of_roi_perturbation_can_change_score(setup):
     perturbed = rec.features.copy()
     perturbed[:, outside] += 10.0
     s_after = anomaly.detect_roi(
-        model, anomaly.SubjectRecord("p", perturbed, rec.context), atlas, roi
+        model, net.Sample(perturbed, rec.context, "p"), atlas, roi
     )
     assert s_after != s_before
 
@@ -141,10 +141,9 @@ def test_context_changes_report(setup):
     model, atlas, samples = setup
     rec = samples[4]
     base = anomaly.detect_all(model, rec, atlas)
-    other = anomaly.SubjectRecord(
-        rec.subject_id, rec.features,
-        net.ContextVector(rec.context.age + 15.0, rec.context.sex),
-    )
+    other = net.Sample(rec.features,
+                       net.ContextVector(rec.context.age + 15.0, rec.context.sex),
+                       rec.subject_id)
     shifted = anomaly.detect_all(model, other, atlas)
     assert np.abs(base.scores - shifted.scores).max() > 0.0
 
@@ -157,7 +156,7 @@ def test_injected_bump_ranks_first(setup):
     bumped = rec.features.copy()
     bumped[:, verts] += 5.0 * model.norm_std[:, None]
     report = anomaly.detect_all(
-        model, anomaly.SubjectRecord("b", bumped, rec.context), atlas
+        model, net.Sample(bumped, rec.context, "b"), atlas
     )
     top_roi = report.roi_ids[int(np.argmax(report.scores[0].sum(axis=1)))]
     assert top_roi == roi
@@ -359,8 +358,7 @@ def test_cohort_scores_order_independent(setup):
 
 def test_cohort_skips_mismatched_subjects(setup):
     model, atlas, samples = setup
-    bad = anomaly.SubjectRecord("bad", np.zeros((1, 12)),
-                                net.ContextVector(60.0, 1.0))
+    bad = net.Sample(np.zeros((1, 12)), net.ContextVector(60.0, 1.0), "bad")
     with pytest.warns(UserWarning):
         matrix = anomaly.cohort_scores(
             model, [samples[0], bad], atlas
@@ -370,15 +368,10 @@ def test_cohort_skips_mismatched_subjects(setup):
 
 
 def test_cohort_scores_take_the_hemisphere_of_the_atlas(setup, tmp_path):
-    # a training Sample and a SubjectRecord score alike; neither names a
-    # hemisphere, every row gets the atlas's
+    # a Sample names no hemisphere; every row gets the atlas's
     model, _, samples = setup
     right = synth.synthetic_atlas(mesh.icosphere(2), 14, hemisphere="right")
-    records = [samples[0]] + [
-        anomaly.SubjectRecord(s.subject_id, s.features, s.context)
-        for s in samples[1:3]
-    ]
-    matrix = anomaly.cohort_scores(model, records, right)
+    matrix = anomaly.cohort_scores(model, samples[:3], right)
     assert matrix.hemisphere == "right"
     anomaly.write_scores_csv(matrix, tmp_path / "scores.csv")
     rows = (tmp_path / "scores.csv").read_text().splitlines()[1:]

@@ -257,6 +257,27 @@ def _synth_order_1(tmp_path):
     return tmp_path / "ds" / "manifest.json"
 
 
+def test_repeated_channel_name_is_refused_where_it_enters(tmp_path, capsys):
+    # synth refuses it in its config (exit 1), train in its manifest (exit
+    # 2): detect would write two score rows per (subject, ROI) and channel.
+    (tmp_path / "dup.cfg").write_text("order = 1\nchannel_names = thickness, thickness\n")
+    capsys.readouterr()
+    assert run("synth", "--config", str(tmp_path / "dup.cfg"),
+               "--out", str(tmp_path / "dup")) == 1
+    err = capsys.readouterr().err
+    assert "'thickness' twice" in err and "Traceback" not in err
+    assert not (tmp_path / "dup").exists()
+    manifest = _synth_order_1(tmp_path)
+    doc = json.loads(manifest.read_text())
+    doc["channel_names"] *= 2
+    manifest.write_text(json.dumps(doc))
+    err = _exit_2_without_traceback(
+        capsys, "train", "--manifest", str(manifest), "--config",
+        str(tmp_path / "train.cfg"), "--out", str(tmp_path / "run"),
+    )
+    assert str(manifest) in err and "'thickness' twice" in err
+
+
 def test_train_manifest_subject_without_channel_file_exits_2(tmp_path, capsys):
     manifest = _synth_order_1(tmp_path)
     doc = json.loads(manifest.read_text())

@@ -386,6 +386,11 @@ def test_manifest_missing_file_rejected(tmp_path):
     lambda d: d.update(label_table=True),
     lambda d: d["subjects"][0].update(age=float("inf")),
     lambda d: d["subjects"][0].update(files={"y": "sub0.smmn"}),
+    lambda d: d.pop("version"),
+    lambda d: d.update(version=2),
+    lambda d: d.update(version="1"),
+    lambda d: d.update(version=None),
+    lambda d: d.update(version=True),
 ])
 def test_manifest_missing_or_ill_typed_field(tmp_path, edit):
     path = tmp_path / "manifest.json"
@@ -396,6 +401,19 @@ def test_manifest_missing_or_ill_typed_field(tmp_path, edit):
     with pytest.raises(ParseError) as err:
         io.load_manifest(path, check_files=False)
     assert err.value.path == str(path)
+
+
+def test_manifest_repeated_channel_name_is_parse_error(tmp_path):
+    # Two channels of one name would give detection two score rows per
+    # (subject, ROI) and channel, which the score table reader refuses.
+    path = tmp_path / "manifest.json"
+    io.save_manifest(_manifest(tmp_path, [0]), path)
+    doc = json.loads(path.read_text())
+    doc["channel_names"] = ["x", "y", "x"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="'channel_names' names 'x' twice") as err:
+        io.load_manifest(path, check_files=False)
+    assert (err.value.path, err.value.offset) == (str(path), 0)
 
 
 @pytest.mark.parametrize("key, value", [
